@@ -90,8 +90,8 @@ struct BenchConfig {
   std::vector<NodeId> sizes = {128, 256};
   std::int64_t pair_budget = 4000;    ///< sampled ordered pairs per cell
   std::int64_t latency_sample = 1000; ///< individually-timed queries (p50/p99)
-  /// Engine workers for the qps phase and thread pool width for the
-  /// parallel-APSP delta; 0 = hardware concurrency.  The resolved value is
+  /// Engine workers for the qps phase and thread pool width for each
+  /// instance's APSP; 0 = hardware concurrency.  The resolved value is
   /// stamped into the document's host block (threads_configured) so
   /// baselines from differently-threaded runs are never silently compared.
   int threads = 0;
@@ -167,8 +167,8 @@ struct CellResult {
 /// One recorded hot-path before/after measurement: both implementations live
 /// in this binary, so the delta is re-measured (not transcribed) every run.
 struct HotPathDelta {
-  std::string name;    ///< e.g. "dijkstra-arena-dial"
-  std::string metric;  ///< e.g. "apsp_ms" (lower better) or "qps" (higher)
+  std::string name;    ///< e.g. "snapshot-arena-map"
+  std::string metric;  ///< e.g. "snapshot_load_ms" (lower better) or "qps"
   std::string scheme;  ///< "" when scheme-independent
   std::string family;
   NodeId n = 0;
@@ -213,9 +213,10 @@ struct GateOptions {
   double qps_drop_tolerance = 0.25;  ///< fail when qps drops more than this
   double stretch_epsilon = 1e-9;     ///< fail on any avg-stretch increase
   double delta_floor_pct = 0.0;      ///< hot-path deltas must beat this
-  /// Snapshot-phase (load/map) regression tolerance: the current cell may be
-  /// up to (1 + this) x the baseline's time.  Generous because each phase is
-  /// a single-shot measurement, not a steady-state best-of.
+  /// Single-shot phase (APSP, snapshot load/map, repair) regression
+  /// tolerance: the current cell may be up to (1 + this) x the baseline's
+  /// time.  Generous because each phase is a single-shot measurement, not a
+  /// steady-state best-of.
   double snapshot_regression_tolerance = 1.0;
   /// Both sides of a snapshot-phase comparison must exceed this (and be
   /// non-negative: -1 means "phase skipped" and is never compared).

@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/names.h"
@@ -156,6 +157,41 @@ class HashedStretch6Scheme {
   std::shared_ptr<const Rtz3Scheme> substrate_;
   std::vector<NodeTables> tables_;
   std::int64_t node_space_ = 0;
+};
+
+/// The registry's hashed64 entry: HashedStretch6Scheme addressed by TINN
+/// name, like every other registered scheme.  make_packet translates the
+/// destination's TINN name to its self-chosen name at injection only;
+/// forwarding then runs on chosen names, as the reduction prescribes.
+class Hashed64Scheme {
+ public:
+  using Header = HashedStretch6Scheme::Header;
+
+  Hashed64Scheme(NameAssignment names,
+                 std::shared_ptr<const HashedStretch6Scheme> impl)
+      : names_(std::move(names)), impl_(std::move(impl)) {}
+
+  void save(SnapshotWriter& w) const { impl_->save(w); }
+
+  [[nodiscard]] Header make_packet(NodeName dest) const {
+    return impl_->make_packet(impl_->chosen().of_id(names_.id_of(dest)));
+  }
+  void prepare_return(Header& h) const { impl_->prepare_return(h); }
+  [[nodiscard]] Decision forward(NodeId at, Header& h) const {
+    return impl_->forward(at, h);
+  }
+  [[nodiscard]] std::int64_t header_bits(const Header& h) const {
+    return impl_->header_bits(h);
+  }
+
+  [[nodiscard]] TableStats table_stats() const { return impl_->table_stats(); }
+  [[nodiscard]] std::string name() const { return impl_->name(); }
+  [[nodiscard]] double stretch_bound() const { return impl_->stretch_bound(); }
+  void audit(AuditReport& report) const { impl_->audit(report); }
+
+ private:
+  NameAssignment names_;
+  std::shared_ptr<const HashedStretch6Scheme> impl_;
 };
 
 }  // namespace rtr

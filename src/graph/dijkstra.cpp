@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <queue>
 #include <stdexcept>
 
 namespace rtr {
@@ -332,30 +331,6 @@ void dijkstra_distances_into(const Digraph& g, NodeId src,
       }
     }
   }
-}
-
-std::vector<Dist> dijkstra_distances_reference(const Digraph& g, NodeId src) {
-  // The seed implementation, verbatim: fresh vectors and a std::priority_queue
-  // per call.  tests/bench compare the workspace path against this oracle.
-  const auto n = static_cast<std::size_t>(g.node_count());
-  std::vector<Dist> dist(n, kInfDist);
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;
-  dist[static_cast<std::size_t>(src)] = 0;
-  pq.emplace(0, src);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d != dist[static_cast<std::size_t>(u)]) continue;
-    for (const Edge& e : g.out_edges(u)) {
-      Dist nd = d + e.weight;
-      auto to = static_cast<std::size_t>(e.to);
-      if (nd < dist[to]) {
-        dist[to] = nd;
-        pq.emplace(nd, e.to);
-      }
-    }
-  }
-  return dist;
 }
 
 OutTree dijkstra_out_tree(const Digraph& g, NodeId root) {

@@ -14,9 +14,7 @@
 // cluster) pass a DijkstraWorkspace so the distance array and the binary-heap
 // buffer are allocated once and reused: after the first run the hot loop
 // performs no heap allocation at all.  The workspace-free overloads remain
-// for one-shot callers.  dijkstra_distances_reference() preserves the seed
-// implementation (std::priority_queue, fresh buffers per call) as the
-// differential oracle the arena is tested bit-identical against.
+// for one-shot callers.
 #ifndef RTR_GRAPH_DIJKSTRA_H
 #define RTR_GRAPH_DIJKSTRA_H
 
@@ -145,11 +143,6 @@ void dijkstra_distances_into(const Digraph& g, NodeId src, DijkstraWorkspace& ws
 /// Digraph IS the CSR, so there is no per-call adjacency snapshot to build.
 void dijkstra_distances_into(const Digraph& g, NodeId src, DijkstraWorkspace& ws,
                              std::span<Dist> out);
-
-/// The seed implementation (std::priority_queue, fresh buffers per call),
-/// kept as the differential oracle for the workspace fast path.
-[[nodiscard]] std::vector<Dist> dijkstra_distances_reference(const Digraph& g,
-                                                             NodeId src);
 
 /// Out-tree of shortest paths from root over the whole graph.
 [[nodiscard]] OutTree dijkstra_out_tree(const Digraph& g, NodeId root);

@@ -224,6 +224,17 @@ std::string family_name(Family f) {
   return "?";
 }
 
+Family parse_family(const std::string& name) {
+  for (const Family f : all_families()) {
+    if (family_name(f) == name) return f;
+  }
+  if (name == "ring") return Family::kRing;
+  if (name == "scalefree" || name == "scale_free" || name == "power-law") {
+    return Family::kScaleFree;
+  }
+  throw std::invalid_argument("unknown family: " + name);
+}
+
 GraphBuilder make_family(Family f, NodeId n, Weight max_weight, Rng& rng) {
   switch (f) {
     case Family::kRandom:

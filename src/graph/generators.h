@@ -81,6 +81,11 @@ enum class Family {
 
 [[nodiscard]] std::string family_name(Family f);
 
+/// Inverse of family_name, also accepting the short spellings the tools'
+/// command lines take ("ring", "scalefree", "scale_free", "power-law").
+/// Throws std::invalid_argument for any other name.
+[[nodiscard]] Family parse_family(const std::string& name);
+
 /// Builds a member of the family with roughly n nodes (grids round to the
 /// nearest even dimensions).
 [[nodiscard]] GraphBuilder make_family(Family f, NodeId n, Weight max_weight, Rng& rng);

@@ -9,7 +9,6 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
-#include <numeric>
 
 #include "util/types.h"
 
@@ -159,7 +158,9 @@ void unlink_arena_shm(const std::string& shm_name) {
 
 // ----------------------------------------------------------------- writer --
 
-ArenaWriter::ArenaWriter() { bytes_.resize(kArenaSectionStart, 0); }
+// Constructing the placeholder at its size (rather than resizing an empty
+// vector) also sidesteps a GCC 12 -O3 -Warray-bounds false positive.
+ArenaWriter::ArenaWriter() : bytes_(kArenaSectionStart, 0) {}
 
 void ArenaWriter::add_raw(const std::string& name, const std::uint8_t* data,
                           std::size_t count, std::size_t elem_size) {
@@ -305,9 +306,15 @@ ArenaView::ArenaView(std::shared_ptr<const ArenaStorage> storage)
     }
   }
   // Sections must not overlap (offsets need not be sorted in the directory,
-  // though the writer emits them that way).
-  std::vector<std::size_t> order(entries_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  // though the writer emits them that way).  An empty section occupies no
+  // bytes, so it cannot overlap anything -- and the writer places one at the
+  // offset the next section then starts at, so sorting it in would make
+  // the tie order decide whether a file the writer itself produced loads.
+  std::vector<std::size_t> order;
+  order.reserve(entries_.size());
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].byte_size() != 0) order.push_back(i);
+  }
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return entries_[a].offset < entries_[b].offset;
   });

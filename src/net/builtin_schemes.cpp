@@ -19,86 +19,6 @@
 namespace rtr {
 namespace {
 
-/// The 64-bit self-chosen-name variant needs a bridge: the unified interface
-/// addresses packets by TINN NodeName, while HashedStretch6Scheme's headers
-/// carry the node's self-chosen 64-bit name.  The adapter owns the chosen
-/// names it drew at build time and translates at injection only (forwarding
-/// runs on the chosen names, as the paper's reduction prescribes).
-class Hashed64Adapter final : public Scheme {
- public:
-  explicit Hashed64Adapter(const BuildContext& ctx)
-      : names_(ctx.names), graph_(ctx.graph), metric_(ctx.metric) {
-    if (graph_ == nullptr || metric_ == nullptr || ctx.rng == nullptr) {
-      throw std::invalid_argument("hashed64: incomplete BuildContext");
-    }
-    chosen_ = ChosenNames::random(graph_->node_count(), *ctx.rng);
-    HashedStretch6Scheme::Options opts;
-    opts.threads = ctx.option_int("threads", opts.threads);
-    impl_ = std::make_shared<const HashedStretch6Scheme>(
-        *graph_, *metric_, chosen_, *ctx.rng, opts);
-  }
-
-  /// Snapshot path: the metric is build-time only, so a loaded adapter
-  /// carries none; the chosen names come out of the scheme payload (the
-  /// scheme serializes them once for both of us).
-  Hashed64Adapter(SnapshotReader& r, const SnapshotLoadContext& ctx)
-      : names_(ctx.names),
-        graph_(require_graph(ctx.graph)),
-        impl_(std::make_shared<const HashedStretch6Scheme>(r, *graph_)) {
-    chosen_ = impl_->chosen();
-  }
-
-  void save(SnapshotWriter& w) const { impl_->save(w); }
-
-  [[nodiscard]] std::string name() const override { return impl_->name(); }
-
-  [[nodiscard]] Packet make_packet(NodeName dest) const override {
-    return Packet(impl_->make_packet(chosen_.of_id(names_.id_of(dest))));
-  }
-
-  void prepare_return(Packet& p) const override {
-    impl_->prepare_return(p.as<ImplHeader>());
-  }
-
-  [[nodiscard]] Decision forward(NodeId at, Packet& p) const override {
-    return impl_->forward(at, p.as<ImplHeader>());
-  }
-
-  [[nodiscard]] std::int64_t header_bits(const Packet& p) const override {
-    return impl_->header_bits(p.as<ImplHeader>());
-  }
-
-  [[nodiscard]] TableStats table_stats() const override {
-    return impl_->table_stats();
-  }
-
-  [[nodiscard]] double stretch_bound() const override {
-    return impl_->stretch_bound();
-  }
-
-  void audit(AuditReport& report) const override { impl_->audit(report); }
-
- private:
-  // Kept private so the inherited Scheme::Header (= Packet) stays the
-  // generic-facing header type.
-  using ImplHeader = HashedStretch6Scheme::Header;
-
-  static std::shared_ptr<const Digraph> require_graph(
-      std::shared_ptr<const Digraph> g) {
-    if (g == nullptr) {
-      throw std::invalid_argument("hashed64: snapshot context without graph");
-    }
-    return g;
-  }
-
-  NameAssignment names_;
-  // Retained: the scheme references the graph/metric without owning them.
-  std::shared_ptr<const Digraph> graph_;
-  std::shared_ptr<const RoundtripMetric> metric_;
-  ChosenNames chosen_;
-  std::shared_ptr<const HashedStretch6Scheme> impl_;
-};
-
 void check_complete(const BuildContext& ctx, const char* scheme) {
   if (ctx.graph == nullptr || ctx.metric == nullptr || ctx.rng == nullptr) {
     throw std::invalid_argument(std::string(scheme) +
@@ -209,7 +129,15 @@ void register_builtin_schemes(SchemeRegistry& registry) {
                "Section 1.1.2 reduction: self-chosen 64-bit names hashed onto "
                "buckets",
                [](const BuildContext& ctx) -> std::shared_ptr<const Scheme> {
-                 return std::make_shared<const Hashed64Adapter>(ctx);
+                 check_complete(ctx, "hashed64");
+                 const ChosenNames chosen =
+                     ChosenNames::random(ctx.graph->node_count(), *ctx.rng);
+                 HashedStretch6Scheme::Options opts;
+                 opts.threads = ctx.option_int("threads", opts.threads);
+                 return build_adapted<Hashed64Scheme>(
+                     ctx, ctx.names,
+                     std::make_shared<const HashedStretch6Scheme>(
+                         *ctx.graph, *ctx.metric, chosen, *ctx.rng, opts));
                });
 
   // --- snapshot hooks: save()/snapshot-constructor pairs per entry ----------
@@ -337,21 +265,17 @@ void register_builtin_schemes(SchemeRegistry& registry) {
         return adapt_scheme(std::move(repaired), {ctx.graph});
       });
 
+  // The chosen names travel inside the scheme payload, so the loader needs
+  // only the graph and the TINN names the snapshot already carries.
   registry.set_snapshot_hooks(
-      "hashed64",
-      [](const Scheme& scheme, SnapshotWriter& w) {
-        const auto* adapter = dynamic_cast<const Hashed64Adapter*>(&scheme);
-        if (adapter == nullptr) {
-          throw std::invalid_argument(
-              "snapshot save: scheme instance does not match this registry "
-              "entry");
-        }
-        adapter->save(w);
-      },
+      "hashed64", &save_adapted<Hashed64Scheme>,
       [](SnapshotReader& r,
          const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
-        require_snapshot_graph(ctx);
-        return std::make_shared<const Hashed64Adapter>(r, ctx);
+        return adapt_scheme(
+            std::make_shared<const Hashed64Scheme>(
+                ctx.names, std::make_shared<const HashedStretch6Scheme>(
+                               r, require_snapshot_graph(ctx))),
+            {ctx.graph});
       });
 }
 

@@ -79,52 +79,20 @@ RouteResult QueryEngine::roundtrip(NodeId src, NodeId dst) const {
   if (src < 0 || src >= n || dst < 0 || dst >= n) {
     throw std::out_of_range("QueryEngine::roundtrip: node id out of range");
   }
-  return simulate_roundtrip(*graph_, *scheme_, src, dst, names_.name_of(dst),
-                            options_.sim);
+  return scheme_->simulate(*graph_, src, dst, names_.name_of(dst),
+                           options_.sim);
 }
 
 void QueryEngine::run_one(std::size_t index, NodeId src, NodeId dst,
-                          WorkerTally& tally) const {
-  // Validate before touching names_/the simulator: an out-of-range id would
-  // index past the name table (UB), and src == dst is not a roundtrip.  Both
-  // are the caller's data, so they count as typed failures, never UB/throw.
-  const NodeId n = graph_->node_count();
-  if (src < 0 || src >= n || dst < 0 || dst >= n || src == dst) {
-    ++tally.pairs;
-    ++tally.invalid;
-    tally.note_failure(index, [&] {
-      return "invalid query (" + std::to_string(src) + ", " +
-             std::to_string(dst) + "): " +
-             (src == dst ? "src == dst" : "node id out of range");
-    });
-    return;
-  }
-  run_one_resolved(index, src, dst, names_.name_of(dst), /*fast_walk=*/false,
-                   tally);
-}
-
-void QueryEngine::run_one_resolved(std::size_t index, NodeId src, NodeId dst,
-                                   NodeName dst_name, bool fast_walk,
-                                   WorkerTally& tally) const {
+                          NodeName dst_name, WorkerTally& tally) const {
   ++tally.pairs;
   RouteResult res;
   try {
-    if (fast_walk) {
-      // Batch fast path: one virtual dispatch for the whole walk (the
-      // adapter's concrete-header loop) and header re-measurement only on
-      // hops whose Decision reports a size change.  Reported values are
-      // identical to the reference walk; RunSerialAndBatch tests pin it.
-      SimOptions sim = options_.sim;
-      sim.trust_header_size_hints = true;
-      res = scheme_->simulate(*graph_, src, dst, dst_name, sim);
-    } else {
-      res = simulate_roundtrip(*graph_, *scheme_, src, dst, dst_name,
-                               options_.sim);
-    }
+    res = scheme_->simulate(*graph_, src, dst, dst_name, options_.sim);
   } catch (const std::exception& e) {
-    // Scheme bug (unknown port, header-type mix-up): a failed query, never
-    // an exception escaping a worker thread.  The message is kept so the
-    // batch report can surface what broke.
+    // Scheme bug (unknown port, bad name): a failed query, never an
+    // exception escaping a worker thread.  The message is kept so the batch
+    // report can surface what broke.
     tally.note_failure(index, [&] { return std::string(e.what()); });
     return;
   }
@@ -143,14 +111,6 @@ void QueryEngine::run_one_resolved(std::size_t index, NodeId src, NodeId dst,
       tally.stretch.add(static_cast<double>(res.roundtrip_length()) /
                         static_cast<double>(r));
     }
-  }
-}
-
-void QueryEngine::run_range(const std::vector<RoundtripQuery>& queries,
-                            std::size_t begin, std::size_t end,
-                            WorkerTally& tally) const {
-  for (std::size_t i = begin; i < end; ++i) {
-    run_one(i, queries[i].src, queries[i].dst, tally);
   }
 }
 
@@ -196,8 +156,7 @@ void QueryEngine::run_span(const BatchPlan& plan, std::size_t begin,
                            std::size_t end, WorkerTally& tally) const {
   tally.stretch.reserve(end - begin);
   for (std::size_t i = begin; i < end; ++i) {
-    run_one_resolved(plan.index[i], plan.src[i], plan.dst[i], plan.dst_name[i],
-                     /*fast_walk=*/true, tally);
+    run_one(plan.index[i], plan.src[i], plan.dst[i], plan.dst_name[i], tally);
   }
 }
 
@@ -218,10 +177,8 @@ ServingResult QueryEngine::serve(NodeId src, NodeId dst) const {
   }
   RouteResult res;
   try {
-    // Same fast path as the batch workers: one virtual dispatch per walk.
-    SimOptions sim = options_.sim;
-    sim.trust_header_size_hints = true;
-    res = scheme_->simulate(*graph_, src, dst, names_.name_of(dst), sim);
+    res = scheme_->simulate(*graph_, src, dst, names_.name_of(dst),
+                            options_.sim);
   } catch (const std::exception& e) {
     // A scheme that throws mid-walk is broken, not an unreachable pair; the
     // distinction is exactly what ServingError exists to carry.
@@ -327,14 +284,6 @@ StretchReport QueryEngine::run_batch(const std::vector<RoundtripQuery>& queries,
     begin = end;
   }
   for (auto& t : pool) t.join();
-  return finalize(std::move(tallies), elapsed_seconds(start));
-}
-
-StretchReport QueryEngine::run_serial(
-    const std::vector<RoundtripQuery>& queries) const {
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<WorkerTally> tallies(1);
-  run_range(queries, 0, queries.size(), tallies[0]);
   return finalize(std::move(tallies), elapsed_seconds(start));
 }
 

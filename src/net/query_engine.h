@@ -27,7 +27,10 @@
 //   * roundtrip(src, dst)       -- one query, on the caller's thread; throws
 //                                  on bad ids (measurement/debug use).
 //
-// All members are const; one engine may be shared by many caller threads.
+// Every entry point routes a query through Scheme::simulate, the one
+// roundtrip walk, so a batch report, a served answer and a single roundtrip
+// agree query for query.  All members are const; one engine may be shared
+// by many caller threads.
 #ifndef RTR_NET_QUERY_ENGINE_H
 #define RTR_NET_QUERY_ENGINE_H
 
@@ -143,17 +146,11 @@ class QueryEngine {
   /// batch into structure-of-arrays form (src / dst / resolved destination
   /// name in separate contiguous arrays), so the worker hot loop runs the
   /// simulator back-to-back with no per-query validation branches, no name
-  /// lookups, and sequential operand reads.  The report is identical to the
-  /// reference loop for any worker count.
+  /// lookups, and sequential operand reads.  The report is identical for any
+  /// worker count.
   [[nodiscard]] StretchReport run_batch(
       const std::vector<RoundtripQuery>& queries,
       const BatchOptions& options = {}) const;
-
-  /// Reference single-thread loop over the same batch, in the seed's
-  /// array-of-structs layout (per-query validate + name lookup inline).
-  /// Kept as the perf baseline the SoA path is measured against.
-  [[nodiscard]] StretchReport run_serial(
-      const std::vector<RoundtripQuery>& queries) const;
 
   /// Samples `options.pair_budget` ordered pairs (exhaustive if the budget
   /// covers all of them).  The sample is drawn from Rng(options.seed) up
@@ -165,15 +162,8 @@ class QueryEngine {
   struct WorkerTally;
   struct BatchPlan;
 
-  void run_range(const std::vector<RoundtripQuery>& queries, std::size_t begin,
-                 std::size_t end, WorkerTally& tally) const;
-  void run_one(std::size_t index, NodeId src, NodeId dst,
+  void run_one(std::size_t index, NodeId src, NodeId dst, NodeName dst_name,
                WorkerTally& tally) const;
-  /// `fast_walk` selects Scheme::simulate (one dispatch per roundtrip; the
-  /// batch path) vs the per-hop Packet walk (the seed reference loop).
-  void run_one_resolved(std::size_t index, NodeId src, NodeId dst,
-                        NodeName dst_name, bool fast_walk,
-                        WorkerTally& tally) const;
   void run_span(const BatchPlan& plan, std::size_t begin, std::size_t end,
                 WorkerTally& tally) const;
   [[nodiscard]] StretchReport finalize(std::vector<WorkerTally> tallies,

@@ -325,27 +325,14 @@ const std::string& SchemeRegistry::summary(const std::string& name) const {
 }
 
 SchemeRegistry& SchemeRegistry::global() {
+  // Released on purpose and never destroyed, so a thread still serving at
+  // process exit can never observe a destroyed registry.
   static SchemeRegistry* registry = [] {
-    auto* r = new SchemeRegistry();
+    auto r = std::make_unique<SchemeRegistry>();
     register_builtin_schemes(*r);
-    return r;
+    return r.release();
   }();
   return *registry;
-}
-
-// --------------------------------------------- virtual-path roundtrip walk --
-
-RouteResult simulate_roundtrip(const Digraph& g, const Scheme& scheme,
-                               NodeId src, NodeId dst, NodeName dst_name,
-                               SimOptions opt) {
-  // Explicit template-argument call: the simulator.h walk instantiated over
-  // the abstract interface (Header = Packet, virtual dispatch per hop).
-  return simulate_roundtrip<Scheme>(g, scheme, src, dst, dst_name, opt);
-}
-
-RouteResult Scheme::simulate(const Digraph& g, NodeId src, NodeId dst,
-                             NodeName dst_name, SimOptions opt) const {
-  return simulate_roundtrip(g, *this, src, dst, dst_name, opt);
 }
 
 // ------------------------------------------------------------ SchemeHandle --
@@ -369,8 +356,7 @@ const TableStats& SchemeHandle::table_stats() const {
 
 RouteResult SchemeHandle::roundtrip(NodeId src, NodeId dst,
                                     SimOptions opt) const {
-  return simulate_roundtrip(*graph_, *scheme_, src, dst, names_.name_of(dst),
-                            opt);
+  return scheme_->simulate(*graph_, src, dst, names_.name_of(dst), opt);
 }
 
 }  // namespace rtr

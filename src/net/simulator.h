@@ -19,10 +19,10 @@
 //   Decision forward(NodeId at, Header&) const;       // local function F
 //   std::int64_t header_bits(const Header&) const;    // encoded size
 //
-// This header keeps the duck-typed *template* fast path (no vtable on the
-// forwarding hot path, for perf-sensitive benches).  The type-erased virtual
-// path -- rtr::Scheme, SchemeRegistry, SchemeHandle and the non-template
-// simulate_roundtrip overload -- lives in net/scheme.h.
+// simulate_roundtrip is the repo's one roundtrip walk.  It is a template over
+// the concrete scheme, so the header stays on the stack and the per-hop calls
+// are direct.  The registry's virtual rtr::Scheme::simulate (net/scheme.h)
+// reaches it through TemplateSchemeAdapter (net/scheme_adapter.h).
 #ifndef RTR_NET_SIMULATOR_H
 #define RTR_NET_SIMULATOR_H
 
@@ -41,12 +41,11 @@ struct Decision {
   bool deliver = false;  // hand the packet to the host at this node
   Port port = kNoPort;   // otherwise: forward on this port
   /// False promises that this step did not change the header's *encoded
-  /// size* (content may still have changed).  With
-  /// SimOptions::trust_header_size_hints the simulator then skips the
-  /// per-hop header_bits re-measurement -- the dominant per-hop cost for
-  /// label-carrying schemes -- without altering the reported max (the
-  /// serial-vs-batch report-equality tests pin that the hint is honest).
-  /// The default (true) re-measures every hop, the seed behavior.
+  /// size* (content may still have changed).  The simulator then skips the
+  /// header_bits re-measurement for that hop -- the dominant per-hop cost
+  /// for label-carrying schemes -- without altering the reported max (a
+  /// test walk that re-measures every hop pins that the hint is honest for
+  /// every registered scheme).  The default (true) re-measures.
   bool header_resized = true;
   static Decision deliver_here() { return Decision{true, kNoPort, true}; }
   static Decision forward_on(Port p) { return Decision{false, p, true}; }
@@ -73,14 +72,9 @@ struct RouteResult {
 struct SimOptions {
   std::int64_t max_hops_per_leg = 0;  // 0: auto (16n + 64)
   bool record_paths = false;
-  /// Honor Decision::header_resized == false by skipping the header_bits
-  /// re-measurement for that hop.  Off by default (measure every hop, the
-  /// seed behavior); the QueryEngine batch path turns it on.
-  bool trust_header_size_hints = false;
 };
 
-/// Satisfied by the duck-typed scheme concept (a concrete Header type);
-/// abstract rtr::Scheme arguments fall through to the net/scheme.h overload.
+/// Satisfied by the duck-typed scheme concept (a concrete Header type).
 template <typename S>
 concept TemplatedScheme = requires { typename S::Header; };
 
@@ -103,7 +97,7 @@ RouteResult simulate_roundtrip(const Digraph& g, const Scheme& scheme,
     if (opt.record_paths) path.push_back(at);
     for (std::int64_t step = 0; step <= budget; ++step) {
       Decision d = scheme.forward(at, header);
-      if (d.header_resized || !opt.trust_header_size_hints) {
+      if (d.header_resized) {
         res.max_header_bits =
             std::max(res.max_header_bits, scheme.header_bits(header));
       }

@@ -13,8 +13,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "graph/generators.h"
 #include "io/arena.h"
 #include "io/snapshot.h"
 #include "net/scheme.h"
@@ -154,6 +157,78 @@ TEST_F(ArenaCorruptionTest, OverlappingSectionsAreTyped) {
   restamp(bytes, header_, dir);
   write_file(path_, bytes);
   EXPECT_THROW((void)map_snapshot(path_, "stretch6"), SnapshotArenaError);
+}
+
+// An empty section occupies no bytes, so sharing its offset with the next
+// non-empty section is not an overlap -- in whichever order the directory
+// lists the two.  The writer emits [empty, non-empty]; the swapped order is
+// hand-built here because it is the one a tie-blind offset sort can hit.
+TEST(ArenaView, EmptySectionSharingAnOffsetIsNotAnOverlap) {
+  const std::vector<std::uint64_t> head = {1, 2, 3};
+  const std::vector<std::uint64_t> empty;
+  const std::vector<std::uint64_t> next = {7, 8};
+  ArenaWriter w;
+  w.add("head", head);
+  w.add("empty", empty);
+  w.add("next", next);
+  std::vector<std::uint8_t> bytes = w.finalize("hand-built", 0, 0);
+  const ArenaFileHeader h = header_of(bytes);
+  std::vector<ArenaDirEntry> dir = dir_of(bytes, h);
+  ASSERT_EQ(dir.size(), 3u);
+  ASSERT_EQ(dir[1].offset, dir[2].offset);
+  for (const bool swapped : {false, true}) {
+    SCOPED_TRACE(swapped ? "directory [head, next, empty]"
+                         : "directory [head, empty, next]");
+    if (swapped) {
+      std::swap(dir[1], dir[2]);
+      restamp(bytes, h, dir);
+    }
+    const ArenaView view(make_owned_arena(bytes));
+    EXPECT_EQ(view.vec<std::uint64_t>("empty").size(), 0u);
+    const FlatVec<std::uint64_t> got = view.vec<std::uint64_t>("next");
+    ASSERT_EQ(got.size(), next.size());
+    EXPECT_EQ(got[0], 7u);
+    EXPECT_EQ(got[1], 8u);
+    EXPECT_NO_THROW(view.verify_section_crcs());
+  }
+}
+
+// Writer -> reader property: whatever save_snapshot writes, map_snapshot
+// maps back and serves route for route.  rtz3 on small rings and grids
+// writes empty sections at offsets a non-empty section shares, the case the
+// overlap check once rejected.
+TEST(ArenaRoundTrip, Rtz3SnapshotsMapBackAndRouteIdentically) {
+  const std::string path = ::testing::TempDir() + "rtr_arena_rtz3_rt.rtrsnap";
+  const std::vector<std::pair<Family, NodeId>> cases = {
+      {Family::kRing, 32}, {Family::kRing, 64}, {Family::kRing, 128},
+      {Family::kGrid, 32}};
+  for (const auto& [family, n] : cases) {
+    SCOPED_TRACE(family_name(family) + " n=" + std::to_string(n));
+    Rng rng(1);
+    const BuildContext ctx =
+        BuildContext::for_graph(make_family(family, n, 4, rng), 1);
+    SchemeHandle built(ctx.graph, ctx.names,
+                       SchemeRegistry::global().build("rtz3", ctx));
+    save_snapshot(path, "rtz3", built);
+    const SchemeHandle mapped = map_snapshot(path, "rtz3");
+    const NodeId nodes = built.graph().node_count();
+    ASSERT_EQ(mapped.graph().node_count(), nodes);
+    for (NodeId s = 0; s < nodes; ++s) {
+      for (NodeId t = 0; t < nodes; t += 3) {
+        if (s == t) continue;
+        const RouteResult a = built.roundtrip(s, t);
+        const RouteResult b = mapped.roundtrip(s, t);
+        ASSERT_TRUE(a.ok()) << s << "->" << t;
+        ASSERT_TRUE(b.ok()) << s << "->" << t;
+        EXPECT_EQ(a.out_length, b.out_length);
+        EXPECT_EQ(a.back_length, b.back_length);
+        EXPECT_EQ(a.out_hops, b.out_hops);
+        EXPECT_EQ(a.back_hops, b.back_hops);
+        EXPECT_EQ(a.max_header_bits, b.max_header_bits);
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(ArenaCorruptionTest, CrcValidButCountMismatchedHeaderIsTyped) {

@@ -290,6 +290,25 @@ TEST(BenchHarness, GateFailsOnRealSnapshotRegressions) {
             std::string::npos);
 }
 
+// apsp_ms is the per-cell gate on the metric layer (Dijkstra arena, APSP
+// pool): a real slowdown beyond the tolerance fails, one within it passes.
+TEST(BenchHarness, GateFailsOnApspRegression) {
+  Json base = doc_with_snapshot_cell(-1, -1);
+  Json slow = doc_with_snapshot_cell(-1, -1);
+  Json fine = doc_with_snapshot_cell(-1, -1);
+  CellResult c = cells_from_json(base)[0];
+  c.apsp_ms = 40.0;
+  base.set("cells", JsonArray{cell_to_json(c)});
+  c.apsp_ms = 95.0;
+  slow.set("cells", JsonArray{cell_to_json(c)});
+  c.apsp_ms = 60.0;
+  fine.set("cells", JsonArray{cell_to_json(c)});
+  const auto violations = compare_to_baseline(base, slow);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("apsp_ms regressed"), std::string::npos);
+  EXPECT_TRUE(compare_to_baseline(base, fine).empty());
+}
+
 TEST(BenchHarness, SnapshotMapColumnTolerantReadDefaultsToSentinel) {
   // Documents from before the mmap column must parse as "not measured"
   // (-1), not throw -- same contract as peak_rss_kb.
@@ -313,13 +332,13 @@ TEST(BenchHarness, GateEnforcesHotPathDeltaFloor) {
   const Json base = doc_with_cell(1000.0, 1.5, 0);
   Json cur = doc_with_cell(1000.0, 1.5, 0);
   Json delta{JsonObject{}};
-  delta.set("name", "query-batch-fast-walk");
-  delta.set("metric", "qps");
+  delta.set("name", "snapshot-arena-map");
+  delta.set("metric", "snapshot_load_ms");
   delta.set("scheme", "stretch6");
   delta.set("family", "random");
   delta.set("n", static_cast<std::int64_t>(128));
   delta.set("before", 100.0);
-  delta.set("after", 104.0);
+  delta.set("after", 96.0);
   delta.set("improvement_pct", 4.0);
   cur.set("hot_path_deltas", JsonArray{delta});
   GateOptions strict;

@@ -11,6 +11,9 @@
 namespace rtr {
 namespace {
 
+using ::rtr::testing::dijkstra_distances_reference;
+using ::rtr::testing::reference_apsp;
+
 GraphBuilder diamond_builder() {
   // 0 -> 1 -> 3, 0 -> 2 -> 3, 3 -> 0; the 0->2->3 route is cheaper.
   GraphBuilder g(4);
@@ -114,8 +117,8 @@ TEST(Dijkstra, RestrictedSourceMustBeMember) {
 
 // The arena fast paths (workspace reuse, the frozen graph's flat-arc CSR,
 // Dial bucket queue) must return bit-identical distances to the seed
-// implementation, preserved as dijkstra_distances_reference, on every
-// generator family.
+// implementation, kept in test_support.h as dijkstra_distances_reference,
+// on every generator family.
 TEST(Dijkstra, ArenaPathsBitIdenticalToReferenceOnAllFamilies) {
   for (const Family family : all_families()) {
     Rng rng(17 + static_cast<std::uint64_t>(family));
@@ -321,7 +324,7 @@ TEST(Apsp, UnreachablePairsAreInfinite) {
   EXPECT_EQ(m.at(2, 2), 0);
 }
 
-// Parallel APSP must be bit-identical to the serial arena for every thread
+// APSP must be bit-identical to the reference oracle for every thread
 // count (rows are independent; each row is computed by the same routine no
 // matter which worker claims it).  This test also runs under the TSAN CI
 // job, which checks the pool's synchronization (ticket + join) for races.
@@ -329,12 +332,12 @@ TEST(ApspParallel, BitIdenticalToSerialForAnyThreadCount) {
   for (const Family family : {Family::kRandom, Family::kRing}) {
     Rng rng(23 + static_cast<std::uint64_t>(family));
     const Digraph g = make_family(family, 96, 6, rng).freeze();
-    const DistMatrix serial = all_pairs_shortest_paths_serial(g);
+    const DistMatrix oracle = reference_apsp(g);
     for (const int threads : {1, 2, 3, 8}) {
       const DistMatrix parallel = all_pairs_shortest_paths(g, threads);
-      ASSERT_EQ(parallel.size(), serial.size());
+      ASSERT_EQ(parallel.size(), oracle.size());
       for (NodeId u = 0; u < g.node_count(); ++u) {
-        const auto srow = serial.row(u);
+        const auto srow = oracle.row(u);
         const auto prow = parallel.row(u);
         ASSERT_TRUE(std::equal(srow.begin(), srow.end(), prow.begin()))
             << family_name(family) << " threads=" << threads << " row " << u;
@@ -346,10 +349,10 @@ TEST(ApspParallel, BitIdenticalToSerialForAnyThreadCount) {
 TEST(ApspParallel, MoreThreadsThanSourcesIsFine) {
   Rng rng(29);
   const Digraph g = ring_with_chords(5, 0, 1, rng).freeze();
-  const DistMatrix serial = all_pairs_shortest_paths_serial(g);
+  const DistMatrix oracle = reference_apsp(g);
   const DistMatrix wide = all_pairs_shortest_paths(g, 64);
   for (NodeId u = 0; u < g.node_count(); ++u) {
-    const auto srow = serial.row(u);
+    const auto srow = oracle.row(u);
     const auto wrow = wide.row(u);
     EXPECT_TRUE(std::equal(srow.begin(), srow.end(), wrow.begin()));
   }

@@ -118,5 +118,21 @@ TEST(Generators, RejectsDegenerateSizes) {
   EXPECT_THROW(complete_digraph(1, 1, rng), std::invalid_argument);
 }
 
+// One parser serves every tool's --family flag: it inverts family_name and
+// keeps each short spelling any tool has ever accepted.
+TEST(Generators, ParseFamilyInvertsFamilyNameAndTakesToolSpellings) {
+  for (const Family f : all_families()) {
+    EXPECT_EQ(parse_family(family_name(f)), f) << family_name(f);
+  }
+  EXPECT_EQ(parse_family("ring"), Family::kRing);
+  EXPECT_EQ(parse_family("ring+chords"), Family::kRing);
+  for (const char* spelling : {"scale-free", "scalefree", "scale_free",
+                               "power-law"}) {
+    EXPECT_EQ(parse_family(spelling), Family::kScaleFree) << spelling;
+  }
+  EXPECT_THROW((void)parse_family("torus"), std::invalid_argument);
+  EXPECT_THROW((void)parse_family(""), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace rtr

@@ -10,6 +10,7 @@
 namespace rtr {
 namespace {
 
+using ::rtr::testing::dijkstra_distances_reference;
 using ::rtr::testing::FamilyParam;
 using ::rtr::testing::Instance;
 using ::rtr::testing::make_instance;
@@ -28,6 +29,13 @@ TEST_P(MetricFamilyTest, RoundtripIsSymmetricPositiveAndTriangular) {
         EXPECT_GE(m.r(u, v), 2);  // two arcs, weights >= 1
       }
       EXPECT_EQ(m.r(u, v), m.r(v, u));
+    }
+  }
+  // Every backend's one-way distances agree with the seed Dijkstra oracle.
+  for (NodeId u = 0; u < nn; u += 5) {
+    const std::vector<Dist> ref = dijkstra_distances_reference(inst.graph, u);
+    for (NodeId v = 0; v < nn; ++v) {
+      EXPECT_EQ(m.d(u, v), ref[static_cast<std::size_t>(v)]) << u << "->" << v;
     }
   }
   // Triangle inequality on sampled triples (full n^3 is wasteful).

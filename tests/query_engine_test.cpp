@@ -1,18 +1,28 @@
 // QueryEngine behavior: batch aggregation must be exact and independent of
 // the worker count; sampling must be deterministic per (seed, thread count);
-// scheme bugs must surface as counted failures, not crashed workers; and the
-// pool must actually scale when the hardware has cores to offer.
+// the walk's header-size hints must never hide a size change; scheme bugs
+// must surface as counted failures, not crashed workers; and the pool must
+// actually scale when the hardware has cores to offer.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "baseline/full_table.h"
+#include "core/exstretch.h"
+#include "core/hashed_stretch6.h"
+#include "core/polystretch.h"
+#include "core/stretch6.h"
 #include "net/query_engine.h"
 #include "net/scheme.h"
+#include "net/scheme_adapter.h"
+#include "rtz/rtz3_scheme.h"
 #include "test_support.h"
+#include "util/stats.h"
 
 namespace rtr {
 namespace {
@@ -70,28 +80,107 @@ TEST(QueryEngine, BatchAggregateIndependentOfWorkerCount) {
   }
 }
 
+// run_batch's SoA prepass and sharded workers must report exactly what a
+// plain serial loop of single roundtrips measures.
 TEST(QueryEngine, BatchMatchesTheSerialReferenceLoop) {
   Instance inst = make_instance(Family::kGrid, 36, 4, 52);
   const auto ctx = inst.context(10);
   QueryEngine engine = make_engine(ctx, "rtz3", 4);
   const auto queries = all_pairs(inst.n());
-  expect_same_report(engine.run_serial(queries), engine.run_batch(queries));
+  Summary stretch;
+  std::int64_t max_header_bits = 0;
+  for (const RoundtripQuery& q : queries) {
+    const RouteResult res = engine.roundtrip(q.src, q.dst);
+    ASSERT_TRUE(res.ok()) << q.src << "->" << q.dst;
+    max_header_bits = std::max(max_header_bits, res.max_header_bits);
+    stretch.add(static_cast<double>(res.roundtrip_length()) /
+                static_cast<double>(inst.metric->r(q.src, q.dst)));
+  }
+  const StretchReport report = engine.run_batch(queries);
+  EXPECT_EQ(report.pairs, static_cast<std::int64_t>(queries.size()));
+  EXPECT_EQ(report.failures, 0);
+  EXPECT_DOUBLE_EQ(report.mean_stretch, stretch.stable_mean());
+  EXPECT_DOUBLE_EQ(report.p99_stretch, stretch.percentile(0.99));
+  EXPECT_DOUBLE_EQ(report.max_stretch, stretch.max());
+  EXPECT_EQ(report.max_header_bits, max_header_bits);
 }
 
-// The batch fast path (SoA layout, one-dispatch adapter walk, header-size
-// hints) must agree with the seed reference loop on EVERY registered scheme
-// -- in particular max_header_bits, which pins that a forward_same_size hint
-// is never emitted on a step that actually changed the encoded size.
+/// Test-only decorator: forwards exactly like the wrapped concrete scheme but
+/// reports a header resize on every step, so the walk re-measures
+/// header_bits on every hop instead of trusting Decision::header_resized.
+template <TemplatedScheme S>
+struct ResizeEveryHop {
+  using Header = typename S::Header;
+  const S* impl;
+
+  [[nodiscard]] Header make_packet(NodeName dest) const {
+    return impl->make_packet(dest);
+  }
+  void prepare_return(Header& h) const { impl->prepare_return(h); }
+  [[nodiscard]] Decision forward(NodeId at, Header& h) const {
+    Decision d = impl->forward(at, h);
+    d.header_resized = true;
+    return d;
+  }
+  [[nodiscard]] std::int64_t header_bits(const Header& h) const {
+    return impl->header_bits(h);
+  }
+};
+
+/// The re-measure-every-hop walk over whichever of S... the registry-built
+/// `scheme` wraps.
+template <TemplatedScheme S, TemplatedScheme... Rest>
+RouteResult remeasured_walk(const Scheme& scheme, const Digraph& g, NodeId src,
+                            NodeId dst, NodeName dst_name) {
+  if (const auto* adapter =
+          dynamic_cast<const TemplateSchemeAdapter<S>*>(&scheme)) {
+    return simulate_roundtrip(g, ResizeEveryHop<S>{&adapter->impl()}, src,
+                              dst, dst_name);
+  }
+  if constexpr (sizeof...(Rest) > 0) {
+    return remeasured_walk<Rest...>(scheme, g, src, dst, dst_name);
+  } else {
+    throw std::logic_error("not a built-in scheme: " + scheme.name());
+  }
+}
+
+// The one walk trusts Decision::header_resized == false and skips the
+// header re-measurement on those hops.  For EVERY registered scheme it must
+// report what the re-measure-every-hop walk reports -- in particular
+// max_header_bits, which pins that a forward_same_size hint is never emitted
+// on a step that actually changed the encoded size.
 TEST(QueryEngine, FastBatchWalkMatchesReferenceForEveryScheme) {
-  Instance inst = make_instance(Family::kRandom, 40, 4, 53);
+  // Big enough that headers really change size mid-walk: on this grid a
+  // stretch6 first hop falsely marked same-size shows up on hundreds of
+  // pairs.
+  Instance inst = make_instance(Family::kGrid, 144, 9, 53);
   const auto ctx = inst.context(11);
   const auto queries = all_pairs(inst.n());
   for (const std::string& name : SchemeRegistry::global().names()) {
+    SCOPED_TRACE(name);
     QueryEngine engine = make_engine(ctx, name, 2);
-    const StretchReport reference = engine.run_serial(queries);
-    const StretchReport fast = engine.run_batch(queries);
-    EXPECT_EQ(reference.failures, 0) << name;
-    expect_same_report(reference, fast);
+    std::int64_t max_header_bits = 0;
+    for (const RoundtripQuery& q : queries) {
+      const NodeName dst_name = ctx.names.name_of(q.dst);
+      const RouteResult fast =
+          engine.scheme().simulate(*ctx.graph, q.src, q.dst, dst_name);
+      const RouteResult ref =
+          remeasured_walk<Stretch6Scheme, ExStretchScheme, PolyStretchScheme,
+                          Rtz3Scheme, FullTableScheme, Hashed64Scheme>(
+              engine.scheme(), *ctx.graph, q.src, q.dst, dst_name);
+      ASSERT_TRUE(ref.ok()) << q.src << "->" << q.dst;
+      ASSERT_EQ(fast.ok(), ref.ok()) << q.src << "->" << q.dst;
+      EXPECT_EQ(fast.out_length, ref.out_length);
+      EXPECT_EQ(fast.back_length, ref.back_length);
+      EXPECT_EQ(fast.out_hops, ref.out_hops);
+      EXPECT_EQ(fast.back_hops, ref.back_hops);
+      EXPECT_EQ(fast.max_header_bits, ref.max_header_bits)
+          << q.src << "->" << q.dst;
+      max_header_bits = std::max(max_header_bits, ref.max_header_bits);
+    }
+    const StretchReport batch = engine.run_batch(queries);
+    EXPECT_EQ(batch.failures, 0);
+    EXPECT_EQ(batch.max_header_bits, max_header_bits);
   }
 }
 
@@ -227,32 +316,31 @@ TEST(QueryEngine, RoundtripRunsOneQueryOnTheCallerThread) {
 
 /// A scheme that emits an unknown port must surface as counted failures, not
 /// as an exception escaping a worker thread.
-class BrokenPortScheme final : public Scheme {
- public:
+struct BrokenPortScheme {
   struct Header {
     NodeName dest = kNoNode;
   };
-  [[nodiscard]] std::string name() const override { return "broken-port"; }
-  [[nodiscard]] Packet make_packet(NodeName dest) const override {
-    return Packet(Header{dest});
-  }
-  void prepare_return(Packet&) const override {}
-  [[nodiscard]] Decision forward(NodeId, Packet&) const override {
+  [[nodiscard]] std::string name() const { return "broken-port"; }
+  [[nodiscard]] Header make_packet(NodeName dest) const { return Header{dest}; }
+  void prepare_return(Header&) const {}
+  [[nodiscard]] Decision forward(NodeId, Header&) const {
     return Decision::forward_on(999999);
   }
-  [[nodiscard]] std::int64_t header_bits(const Packet&) const override {
-    return 8;
-  }
-  [[nodiscard]] TableStats table_stats() const override { return TableStats{}; }
+  [[nodiscard]] std::int64_t header_bits(const Header&) const { return 8; }
+  [[nodiscard]] TableStats table_stats() const { return TableStats{}; }
 };
+
+std::shared_ptr<const Scheme> broken_port_scheme() {
+  return adapt_scheme(std::make_shared<const BrokenPortScheme>());
+}
 
 TEST(QueryEngine, SchemeBugsAreCountedAsFailures) {
   Instance inst = make_instance(Family::kRandom, 16, 3, 56);
   const auto ctx = inst.context(14);
   QueryEngineOptions opts;
   opts.threads = 2;
-  QueryEngine engine(ctx.graph, ctx.metric, ctx.names,
-                     std::make_shared<const BrokenPortScheme>(), opts);
+  QueryEngine engine(ctx.graph, ctx.metric, ctx.names, broken_port_scheme(),
+                     opts);
   StretchReport report = engine.run_batch(all_pairs(inst.n()));
   EXPECT_EQ(report.failures, report.pairs);
   // The anonymous-swallow regression: the batch report must carry WHAT
@@ -266,7 +354,7 @@ TEST(QueryEngine, SchemeBugsAreCountedAsFailures) {
 TEST(QueryEngine, FirstErrorIndependentOfWorkerCount) {
   Instance inst = make_instance(Family::kRandom, 16, 3, 56);
   const auto ctx = inst.context(14);
-  auto scheme = std::make_shared<const BrokenPortScheme>();
+  auto scheme = broken_port_scheme();
   const auto queries = all_pairs(inst.n());
   StretchReport reference;
   for (int threads : {1, 2, 5}) {
@@ -284,9 +372,10 @@ TEST(QueryEngine, FirstErrorIndependentOfWorkerCount) {
 }
 
 /// The acceptance-scale perf check: a 10k-pair batch on a 512-node instance
-/// across 4 workers vs the serial loop.  Meaningful only when the hardware
-/// has cores to parallelize over, so it skips on single-core runners (the
-/// aggregate-equality tests above pin down correctness there).
+/// across 4 workers vs the same batch on one worker (the serial loop).
+/// Meaningful only when the hardware has cores to parallelize over, so it
+/// skips on single-core runners (the aggregate-equality tests above pin down
+/// correctness there).
 TEST(QueryEngine, FourWorkersBeatTheSerialLoopOnBigBatches) {
   if (std::thread::hardware_concurrency() < 4) {
     GTEST_SKIP() << "needs >= 4 hardware threads to demonstrate speedup";
@@ -302,10 +391,18 @@ TEST(QueryEngine, FourWorkersBeatTheSerialLoopOnBigBatches) {
     if (s == t) t = static_cast<NodeId>((t + 1) % inst.n());
     queries.push_back({s, t});
   }
-  StretchReport serial = engine.run_serial(queries);
-  StretchReport parallel = engine.run_batch(queries);
-  expect_same_report(serial, parallel);
-  EXPECT_LT(parallel.wall_seconds, serial.wall_seconds)
+  // Best of five interleaved runs per side, so a host briefly busy with
+  // other work does not decide the comparison.
+  double serial_best = 1e30;
+  double parallel_best = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    StretchReport serial = engine.run_batch(queries, {.threads = 1});
+    StretchReport parallel = engine.run_batch(queries);
+    expect_same_report(serial, parallel);
+    serial_best = std::min(serial_best, serial.wall_seconds);
+    parallel_best = std::min(parallel_best, parallel.wall_seconds);
+  }
+  EXPECT_LT(parallel_best, serial_best)
       << "4 workers should beat the serial loop on a 10k-pair batch";
 }
 

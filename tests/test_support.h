@@ -2,11 +2,14 @@
 #ifndef RTR_TESTS_TEST_SUPPORT_H
 #define RTR_TESTS_TEST_SUPPORT_H
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/names.h"
@@ -19,6 +22,44 @@
 #include "util/rng.h"
 
 namespace rtr::testing {
+
+/// The seed Dijkstra (std::priority_queue, fresh buffers per call), kept
+/// here as the differential oracle the library's arena paths (workspace
+/// reuse, flat-arc CSR, Dial buckets, the APSP pool) are tested
+/// bit-identical against.
+inline std::vector<Dist> dijkstra_distances_reference(const Digraph& g,
+                                                      NodeId src) {
+  using Item = std::pair<Dist, NodeId>;
+  const auto n = static_cast<std::size_t>(g.node_count());
+  std::vector<Dist> dist(n, kInfDist);
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  dist[static_cast<std::size_t>(src)] = 0;
+  pq.emplace(0, src);
+  while (!pq.empty()) {
+    auto [d, u] = pq.top();
+    pq.pop();
+    if (d != dist[static_cast<std::size_t>(u)]) continue;
+    for (const Edge& e : g.out_edges(u)) {
+      const Dist nd = d + e.weight;
+      const auto to = static_cast<std::size_t>(e.to);
+      if (nd < dist[to]) {
+        dist[to] = nd;
+        pq.emplace(nd, e.to);
+      }
+    }
+  }
+  return dist;
+}
+
+/// APSP from the oracle: one reference Dijkstra per source row.
+inline DistMatrix reference_apsp(const Digraph& g) {
+  DistMatrix m(g.node_count(), kInfDist);
+  for (NodeId src = 0; src < g.node_count(); ++src) {
+    const std::vector<Dist> row = dijkstra_distances_reference(g, src);
+    std::copy(row.begin(), row.end(), m.row(src).begin());
+  }
+  return m;
+}
 
 /// A generated test instance: graph + adversarial names/ports + metric.
 struct Instance {

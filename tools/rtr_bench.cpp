@@ -32,7 +32,7 @@
 //       numbers, so CI can archive invariant headroom next to the perf
 //       documents).  Non-zero exit when any cell violates any invariant.
 //
-// Families: random | grid | ring | scale-free | bidirected.
+// Families: random | grid | ring (ring+chords) | scale-free | bidirected.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -76,16 +76,6 @@ std::vector<std::string> split_csv(const std::string& s) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
-}
-
-Family family_by_name(const std::string& name) {
-  for (const Family f : all_families()) {
-    if (family_name(f) == name) return f;
-  }
-  // Accept the common aliases used in the ISSUE/README.
-  if (name == "power-law" || name == "scale_free") return Family::kScaleFree;
-  if (name == "ring+chords") return Family::kRing;
-  throw std::invalid_argument("unknown family: " + name);
 }
 
 int run_growth_check(const std::string& path) {
@@ -217,7 +207,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--families") {
         config.families.clear();
         for (const auto& f : split_csv(next())) {
-          config.families.push_back(family_by_name(f));
+          config.families.push_back(parse_family(f));
         }
       } else if (arg == "--sizes") {
         config.sizes.clear();

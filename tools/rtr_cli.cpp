@@ -106,15 +106,6 @@ int usage() {
   return 2;
 }
 
-Family parse_family(const std::string& s) {
-  if (s == "random") return Family::kRandom;
-  if (s == "grid") return Family::kGrid;
-  if (s == "ring") return Family::kRing;
-  if (s == "scalefree") return Family::kScaleFree;
-  if (s == "bidirected") return Family::kBidirected;
-  throw std::invalid_argument("unknown family: " + s);
-}
-
 /// Instance over a generated family graph, shared-ownership pieces as the
 /// engine wants them.
 BuildContext family_context(Family family, NodeId n, Weight max_weight,

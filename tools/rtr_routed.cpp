@@ -70,15 +70,6 @@ struct Args {
   bool mapped = false;
 };
 
-Family parse_family_arg(const std::string& s) {
-  if (s == "random") return Family::kRandom;
-  if (s == "grid") return Family::kGrid;
-  if (s == "ring") return Family::kRing;
-  if (s == "scale-free") return Family::kScaleFree;
-  if (s == "bidirected") return Family::kBidirected;
-  throw std::runtime_error("unknown family: " + s);
-}
-
 bool parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -240,7 +231,7 @@ int main(int argc, char** argv) {
 
     Rng topo_rng(args.seed);
     GraphBuilder builder =
-        make_family(parse_family_arg(args.family), args.n, args.max_weight,
+        make_family(parse_family(args.family), args.n, args.max_weight,
                     topo_rng);
     Digraph graph = builder.freeze();
     Rng name_rng(args.seed + 7);
