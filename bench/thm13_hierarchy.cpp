@@ -33,8 +33,7 @@ void run() {
     for (const DoubleTree& t : lvl.trees) max_height = std::max(max_height, t.rt_height());
     std::size_t max_members = 0;
     for (NodeId v = 0; v < inst.n(); ++v) {
-      max_members = std::max(max_members,
-                             lvl.trees_of[static_cast<std::size_t>(v)].size());
+      max_members = std::max(max_members, lvl.trees_of(v).size());
     }
     table.add_row({fmt_int(i + 1), fmt_int(lvl.radius),
                    fmt_int(static_cast<std::int64_t>(lvl.trees.size())),

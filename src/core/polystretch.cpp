@@ -84,65 +84,85 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
   hierarchy_ =
       std::make_shared<CoverHierarchy>(g, reversed, metric, k, threads);
 
-  tables_.resize(static_cast<std::size_t>(n));
+  // Per tree, members grouped by (j+1)-digit name prefix for the
+  // nearest-extension queries: prefix value -> member indices, ascending.
+  using PrefixIndex =
+      std::vector<std::unordered_map<std::int64_t, std::vector<std::int32_t>>>;
+  std::vector<std::vector<PrefixIndex>> by_prefix(
+      static_cast<std::size_t>(hierarchy_->level_count()));
   for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
     const HierarchyLevel& lvl = hierarchy_->level(level);
-    for (std::int32_t t = 0; t < static_cast<std::int32_t>(lvl.trees.size()); ++t) {
-      const DoubleTree& tree = lvl.trees[static_cast<std::size_t>(t)];
-      const TreeRef ref{level, t};
-      // Group members by (j+1)-digit name prefix for nearest-extension
-      // queries: prefix value -> member ids.
-      std::vector<std::unordered_map<std::int64_t, std::vector<NodeId>>>
-          by_prefix(static_cast<std::size_t>(k));
-      for (NodeId v : tree.members()) {
-        const NodeName vn = names_.name_of(v);
+    auto& level_index = by_prefix[static_cast<std::size_t>(level)];
+    level_index.resize(lvl.trees.size());
+    for (std::size_t t = 0; t < lvl.trees.size(); ++t) {
+      const std::vector<NodeId>& members = lvl.trees[t].members();
+      PrefixIndex& index = level_index[t];
+      index.resize(static_cast<std::size_t>(k));
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const NodeName vn = names_.name_of(members[i]);
         for (int j = 0; j < k; ++j) {
-          by_prefix[static_cast<std::size_t>(j)][alphabet_.prefix_value(vn, j + 1)]
-              .push_back(v);
+          index[static_cast<std::size_t>(j)][alphabet_.prefix_value(vn, j + 1)]
+              .push_back(static_cast<std::int32_t>(i));
         }
       }
-      // Tree members are unique, so each ticket writes a distinct
-      // tables_[u]; the by_prefix index and the metric are only read.
-      const std::vector<NodeId>& members = tree.members();
-      parallel_tickets(static_cast<std::int64_t>(members.size()), threads, [&] {
-        return [&](std::int64_t ticket) {
-        const NodeId u = members[static_cast<std::size_t>(ticket)];
-        auto& per = tables_[static_cast<std::size_t>(u)].per_tree[tree_key(ref)];
-        per.own_label = tree.out_router().label(u);
-        const NodeName un = names_.name_of(u);
-        // (2c): for every j and tau, the nearest member extending u's own
-        // j-digit prefix with digit tau, if one exists.
-        for (int j = 0; j < k; ++j) {
-          for (int tau = 0; tau < q; ++tau) {
-            const PrefixValue p = alphabet_.prefix_value(un, j) * q + tau;
-            auto it = by_prefix[static_cast<std::size_t>(j)].find(p);
-            if (it == by_prefix[static_cast<std::size_t>(j)].end()) continue;
-            NodeId best = kNoNode;
-            Dist best_r = kInfDist;
-            for (NodeId v : it->second) {
-              if (v == u) {  // a zero-cost extension: always the nearest
-                best = u;
-                best_r = 0;
-                break;
-              }
-              const Dist rr = metric.r(u, v);
-              if (rr < best_r || (rr == best_r && best != kNoNode &&
-                                  names_.name_of(v) < names_.name_of(best))) {
-                best_r = rr;
-                best = v;
-              }
-            }
-            DictEntry entry;
-            entry.node = names_.name_of(best);
-            entry.label = tree.out_router().label(best);
-            per.dict.emplace(static_cast<std::int64_t>(j) * q + tau,
-                             std::move(entry));
-          }
-        }
-        };
-      });
     }
   }
+
+  // One fan-out over nodes: ticket u writes only tables_[u], visiting u's
+  // trees level by level in ascending tree order; the prefix index and the
+  // metric are only read.
+  tables_.resize(static_cast<std::size_t>(n));
+  parallel_tickets(n, threads, [&] {
+    return [&](std::int64_t ticket) {
+      const auto u = static_cast<NodeId>(ticket);
+      const NodeName un = names_.name_of(u);
+      auto& per_tree = tables_[static_cast<std::size_t>(u)].per_tree;
+      for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
+        const HierarchyLevel& lvl = hierarchy_->level(level);
+        for (const auto [t, iu] : lvl.trees_of(u)) {
+          const DoubleTree& tree = lvl.trees[static_cast<std::size_t>(t)];
+          const TreeRouter& router = tree.out_router();
+          const std::vector<NodeId>& members = tree.members();
+          const PrefixIndex& index = by_prefix[static_cast<std::size_t>(level)]
+                                              [static_cast<std::size_t>(t)];
+          auto& per = per_tree[tree_key(TreeRef{level, t})];
+          per.own_label = router.label_at(iu);
+          // (2c): for every j and tau, the nearest member extending u's own
+          // j-digit prefix with digit tau, if one exists.
+          for (int j = 0; j < k; ++j) {
+            for (int tau = 0; tau < q; ++tau) {
+              const PrefixValue p = alphabet_.prefix_value(un, j) * q + tau;
+              auto it = index[static_cast<std::size_t>(j)].find(p);
+              if (it == index[static_cast<std::size_t>(j)].end()) continue;
+              std::int32_t best = -1;
+              Dist best_r = kInfDist;
+              for (const std::int32_t i : it->second) {
+                const NodeId v = members[static_cast<std::size_t>(i)];
+                if (v == u) {  // a zero-cost extension: always the nearest
+                  best = i;
+                  best_r = 0;
+                  break;
+                }
+                const Dist rr = metric.r(u, v);
+                if (rr < best_r ||
+                    (rr == best_r && best >= 0 &&
+                     names_.name_of(v) <
+                         names_.name_of(members[static_cast<std::size_t>(best)]))) {
+                  best_r = rr;
+                  best = i;
+                }
+              }
+              DictEntry entry;
+              entry.node = names_.name_of(members[static_cast<std::size_t>(best)]);
+              entry.label = router.label_at(best);
+              per.dict.emplace(static_cast<std::int64_t>(j) * q + tau,
+                               std::move(entry));
+            }
+          }
+        }
+      }
+    };
+  });
 }
 
 Decision PolyStretchScheme::start_level(NodeId at, Header& h) const {

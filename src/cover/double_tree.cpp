@@ -1,6 +1,7 @@
 #include "cover/double_tree.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -9,115 +10,70 @@
 
 namespace rtr {
 
-namespace {
-
-std::vector<char> make_mask(NodeId n, const std::vector<NodeId>& members) {
-  std::vector<char> mask(static_cast<std::size_t>(n), 0);
-  for (NodeId v : members) {
-    if (v < 0 || v >= n) {
-      throw std::invalid_argument("DoubleTree: member id out of range");
-    }
-    mask[static_cast<std::size_t>(v)] = 1;
-  }
-  return mask;
-}
-
-void save_out_tree(SnapshotWriter& w, const OutTree& t) {
-  w.i32(t.root);
-  w.vec_i64(t.dist);
-  w.vec_i32(t.parent);
-  w.vec_i32(t.parent_port);
-}
-
-OutTree load_out_tree(SnapshotReader& r) {
-  OutTree t;
-  t.root = r.i32();
-  t.dist = r.vec_i64();
-  t.parent = r.vec_i32();
-  t.parent_port = r.vec_i32();
-  return t;
-}
-
-void save_in_tree(SnapshotWriter& w, const InTree& t) {
-  w.i32(t.root);
-  w.vec_i64(t.dist);
-  w.vec_i32(t.next);
-  w.vec_i32(t.next_port);
-}
-
-InTree load_in_tree(SnapshotReader& r) {
-  InTree t;
-  t.root = r.i32();
-  t.dist = r.vec_i64();
-  t.next = r.vec_i32();
-  t.next_port = r.vec_i32();
-  return t;
-}
-
-}  // namespace
-
 DoubleTree::DoubleTree(const Digraph& g, const Digraph& reversed, NodeId center,
-                       std::vector<NodeId> members)
-    : center_(center),
-      members_(std::move(members)),
-      member_mask_(make_mask(g.node_count(), members_)),
-      out_tree_(dijkstra_out_tree_within(g, center, member_mask_)),
-      in_tree_(dijkstra_in_tree_within(g, reversed, center, member_mask_)),
-      out_router_(out_tree_) {
-  if (!contains(center_)) {
+                       std::vector<NodeId> members, DijkstraWorkspace& ws) {
+  if (std::adjacent_find(members.begin(), members.end(),
+                         std::greater_equal<>{}) != members.end()) {
+    throw std::invalid_argument("DoubleTree: members not sorted and unique");
+  }
+  if (!std::binary_search(members.begin(), members.end(), center)) {
     throw std::invalid_argument("DoubleTree: center not among members");
   }
-  for (NodeId v : members_) {
-    const auto idx = static_cast<std::size_t>(v);
-    if (out_tree_.dist[idx] >= kInfDist || in_tree_.dist[idx] >= kInfDist) {
+  MemberTree out;
+  MemberTree in;
+  dijkstra_out_tree_members(g, center, members, ws, out);
+  dijkstra_in_tree_members(g, reversed, center, members, ws, in);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (out.dist[i] >= kInfDist || in.dist[i] >= kInfDist) {
       throw std::invalid_argument(
           "DoubleTree: induced subgraph is not strongly connected");
     }
-    rt_height_ = std::max(rt_height_, out_tree_.dist[idx] + in_tree_.dist[idx]);
+    rt_height_ = std::max(rt_height_, out.dist[i] + in.dist[i]);
   }
+  up_port_ = std::move(in.port);
+  up_dist_ = std::move(in.dist);
+  down_dist_ = std::move(out.dist);
+  out_router_ = TreeRouter(center, std::move(members), std::move(out.link),
+                           std::move(out.port));
+}
+
+std::size_t DoubleTree::stored_slots() const {
+  return std::max({up_port_.size(), up_dist_.size(), down_dist_.size(),
+                   out_router_.stored_slots()});
 }
 
 void DoubleTree::audit(AuditReport& report) const {
   auto scope = report.scope("double-tree");
-  const auto n = member_mask_.size();
+  const auto m = static_cast<std::size_t>(member_count());
 
-  bool mask_ok = out_tree_.dist.size() == n && in_tree_.dist.size() == n;
-  std::size_t marked = 0;
-  for (const char m : member_mask_) marked += (m != 0) ? 1 : 0;
-  mask_ok = mask_ok && marked == members_.size();
-  for (const NodeId v : members_) {
-    if (!mask_ok) break;
-    if (v < 0 || static_cast<std::size_t>(v) >= n || !contains(v)) {
-      mask_ok = false;
-    }
-  }
-  report.check("member-mask-consistent", mask_ok,
-               "mask population must equal the member list");
-  if (!mask_ok) return;
+  const bool sized = up_port_.size() == m && up_dist_.size() == m &&
+                     down_dist_.size() == m;
+  report.check("arrays-sized", sized,
+               "up ports and distances must hold exactly member_count() "
+               "entries");
+  if (!sized) return;
 
-  report.check("center-is-member",
-               center_ >= 0 && static_cast<std::size_t>(center_) < n &&
-                   contains(center_),
-               "center " + std::to_string(center_));
+  const std::int32_t center_index = index_of(center());
+  report.check("center-is-member", center_index >= 0,
+               "center " + std::to_string(center()));
 
   bool reach_ok = true;
   std::string reach_detail;
   Dist recomputed_height = 0;
-  for (const NodeId v : members_) {
-    const auto idx = static_cast<std::size_t>(v);
-    if (out_tree_.dist[idx] >= kInfDist || in_tree_.dist[idx] >= kInfDist) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const NodeId v = members()[i];
+    if (down_dist_[i] >= kInfDist || up_dist_[i] >= kInfDist) {
       reach_ok = false;
       reach_detail = "member " + std::to_string(v) +
                      " unreachable inside the induced subgraph";
       break;
     }
-    if (v != center_ && in_tree_.next_port[idx] == kNoPort) {
+    if (v != center() && up_port_[i] == kNoPort) {
       reach_ok = false;
       reach_detail = "member " + std::to_string(v) + " has no up port";
       break;
     }
-    recomputed_height =
-        std::max(recomputed_height, out_tree_.dist[idx] + in_tree_.dist[idx]);
+    recomputed_height = std::max(recomputed_height, down_dist_[i] + up_dist_[i]);
   }
   report.check("members-reach-center", reach_ok, std::move(reach_detail));
   if (reach_ok) {
@@ -125,34 +81,30 @@ void DoubleTree::audit(AuditReport& report) const {
                  "cached " + std::to_string(rt_height_) + ", recomputed " +
                      std::to_string(recomputed_height));
   }
-
-  report.check("out-router-root", out_router_.root() == center_ &&
-                                      out_router_.member_count() ==
-                                          member_count(),
-               "Lemma 14 router must span exactly the member set from the "
-               "center");
   out_router_.audit(report);
 }
 
 void DoubleTree::save(SnapshotWriter& w) const {
-  w.i32(center_);
-  w.vec_i32(members_);
   w.i64(rt_height_);
-  save_out_tree(w, out_tree_);
-  save_in_tree(w, in_tree_);
+  w.vec_i32(up_port_);
+  w.vec_i64(up_dist_);
+  w.vec_i64(down_dist_);
   out_router_.save(w);
 }
 
 // The init list mirrors save()'s field order (= declaration order, which
 // C++ guarantees for member initialization).
 DoubleTree::DoubleTree(SnapshotReader& r)
-    : center_(r.i32()),
-      members_(r.vec_i32()),
-      rt_height_(r.i64()),
-      out_tree_(load_out_tree(r)),
-      in_tree_(load_in_tree(r)),
+    : rt_height_(r.i64()),
+      up_port_(r.vec_i32()),
+      up_dist_(r.vec_i64()),
+      down_dist_(r.vec_i64()),
       out_router_(r) {
-  member_mask_ = make_mask(static_cast<NodeId>(out_tree_.dist.size()), members_);
+  const auto m = static_cast<std::size_t>(member_count());
+  if (up_port_.size() != m || up_dist_.size() != m || down_dist_.size() != m) {
+    throw SnapshotFormatError(
+        "snapshot: double tree arrays disagree with its member count");
+  }
 }
 
 }  // namespace rtr

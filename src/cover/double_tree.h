@@ -11,6 +11,13 @@
 // next-hop pointers (each member stores one port), down along OutTree via the
 // Lemma 14 tree router.  The cost between two members is at most twice the
 // RTHeight.
+//
+// All state is per member, as Lemma 14 counts it: the out-tree's router
+// keeps the sorted member list, and the up port and the induced distances
+// to and from the center sit in arrays parallel to it.  Nothing is sized to
+// the graph, so a tree of m members costs O(m) words.  index_of() resolves a
+// node to its member index once; every *_at accessor (here and on the
+// router) takes that index.
 #ifndef RTR_COVER_DOUBLE_TREE_H
 #define RTR_COVER_DOUBLE_TREE_H
 
@@ -28,59 +35,67 @@ class AuditReport;  // audit/audit.h
 
 class DoubleTree {
  public:
-  /// Builds in/out trees for `members` (must include center) inside the
-  /// induced subgraph.  Throws std::invalid_argument if the induced subgraph
-  /// does not strongly connect the members.
+  /// Builds in/out trees for `members` (sorted ascending and unique; must
+  /// include center) inside the induced subgraph, with `ws` as Dijkstra
+  /// scratch.  Throws std::invalid_argument if the induced subgraph does not
+  /// strongly connect the members.
   DoubleTree(const Digraph& g, const Digraph& reversed, NodeId center,
-             std::vector<NodeId> members);
+             std::vector<NodeId> members, DijkstraWorkspace& ws);
 
   /// Snapshot path: rehydrates a tree saved with save().
   explicit DoubleTree(SnapshotReader& r);
   void save(SnapshotWriter& w) const;
 
-  [[nodiscard]] NodeId center() const { return center_; }
-  [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }
-  [[nodiscard]] bool contains(NodeId v) const {
-    return member_mask_[static_cast<std::size_t>(v)] != 0;
+  [[nodiscard]] NodeId center() const { return out_router_.root(); }
+  /// Sorted ascending; member index i is members()[i].
+  [[nodiscard]] const std::vector<NodeId>& members() const {
+    return out_router_.members();
   }
   [[nodiscard]] NodeId member_count() const {
-    return static_cast<NodeId>(members_.size());
+    return out_router_.member_count();
   }
+  /// v's member index, or -1 when v is not in the tree.
+  [[nodiscard]] std::int32_t index_of(NodeId v) const {
+    return out_router_.index_of(v);
+  }
+  [[nodiscard]] bool contains(NodeId v) const { return index_of(v) >= 0; }
 
   /// Max induced roundtrip distance from the center to any member.
   [[nodiscard]] Dist rt_height() const { return rt_height_; }
 
-  /// Induced d(center, v) / d(v, center).
-  [[nodiscard]] Dist down_dist(NodeId v) const {
-    return out_tree_.dist[static_cast<std::size_t>(v)];
+  /// Induced d(center, members()[i]) / d(members()[i], center).
+  [[nodiscard]] Dist down_dist_at(std::int32_t i) const {
+    return down_dist_[static_cast<std::size_t>(i)];
   }
-  [[nodiscard]] Dist up_dist(NodeId v) const {
-    return in_tree_.dist[static_cast<std::size_t>(v)];
+  [[nodiscard]] Dist up_dist_at(std::int32_t i) const {
+    return up_dist_[static_cast<std::size_t>(i)];
+  }
+  /// members()[i]'s next-hop port toward the center (kNoPort at the center).
+  [[nodiscard]] Port up_port_at(std::int32_t i) const {
+    return up_port_[static_cast<std::size_t>(i)];
   }
 
-  /// Member v's next-hop port toward the center (kNoPort at the center).
-  [[nodiscard]] Port up_port(NodeId v) const {
-    return in_tree_.next_port[static_cast<std::size_t>(v)];
-  }
-
-  /// Lemma 14 routing structure on OutTree.
+  /// Lemma 14 routing structure on OutTree; shares this tree's member
+  /// indices.
   [[nodiscard]] const TreeRouter& out_router() const { return out_router_; }
 
-  /// Auditable: the member mask matches the member list, the center is a
-  /// member, every member is reachable both ways (finite up/down distances,
-  /// an up port everywhere but the center), the cached rt_height_ equals the
-  /// recomputed max roundtrip, and the Lemma 14 out-router is itself sound
-  /// with root == center and exactly the member set.
+  /// Per-member slots actually stored (the longest per-member array, here
+  /// or in the router); member_count() for a sound tree.
+  [[nodiscard]] std::size_t stored_slots() const;
+
+  /// Auditable: every per-member array holds exactly member_count() entries,
+  /// the center is a member, every member is reachable both ways (finite
+  /// up/down distances, an up port everywhere but the center), the cached
+  /// rt_height_ equals the recomputed max roundtrip, and the Lemma 14
+  /// out-router is itself sound.
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditTestPeer;
-  NodeId center_;
-  std::vector<NodeId> members_;
-  std::vector<char> member_mask_;
   Dist rt_height_ = 0;
-  OutTree out_tree_;
-  InTree in_tree_;
+  std::vector<Port> up_port_;    // per member
+  std::vector<Dist> up_dist_;    // per member
+  std::vector<Dist> down_dist_;  // per member
   TreeRouter out_router_;
 };
 

@@ -12,6 +12,39 @@
 
 namespace rtr {
 
+namespace {
+
+// Fills the per-node membership CSR from the level's trees: walking trees
+// in ascending order keeps every node's row ascending by tree.
+void index_memberships(HierarchyLevel& level, std::size_t n) {
+  level.membership_off.assign(n + 1, 0);
+  for (const DoubleTree& tree : level.trees) {
+    for (const NodeId v : tree.members()) {
+      if (v < 0 || static_cast<std::size_t>(v) >= n) {
+        throw std::invalid_argument("CoverHierarchy: tree member out of range");
+      }
+      ++level.membership_off[static_cast<std::size_t>(v) + 1];
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    level.membership_off[v + 1] += level.membership_off[v];
+  }
+  level.memberships.resize(static_cast<std::size_t>(level.membership_off[n]));
+  std::vector<std::int64_t> fill(level.membership_off.begin(),
+                                 level.membership_off.end() - 1);
+  for (std::size_t t = 0; t < level.trees.size(); ++t) {
+    const std::vector<NodeId>& members = level.trees[t].members();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      level.memberships[static_cast<std::size_t>(
+          fill[static_cast<std::size_t>(members[i])]++)] =
+          TreeMembership{static_cast<std::int32_t>(t),
+                         static_cast<std::int32_t>(i)};
+    }
+  }
+}
+
+}  // namespace
+
 CoverHierarchy::CoverHierarchy(const Digraph& g, const Digraph& reversed,
                                const RoundtripMetric& metric, int k,
                                int threads)
@@ -26,29 +59,25 @@ CoverHierarchy::CoverHierarchy(const Digraph& g, const Digraph& reversed,
     level.home_of = cover.home_of;
     // Per-cluster double trees are independent (each reads the graph, writes
     // its own slot), so they fan out; the in-order move keeps level.trees
-    // identical to the serial build.
+    // identical to the serial build.  Each worker reuses one Dijkstra
+    // workspace across its clusters.
     std::vector<std::optional<DoubleTree>> built(cover.clusters.size());
     parallel_tickets(static_cast<std::int64_t>(cover.clusters.size()), workers,
                      [&] {
-                       return [&](std::int64_t c) {
+                       return [&, ws = DijkstraWorkspace{}](
+                                  std::int64_t c) mutable {
                          auto& cluster =
                              cover.clusters[static_cast<std::size_t>(c)];
                          built[static_cast<std::size_t>(c)].emplace(
                              g, reversed, cluster.center,
-                             std::move(cluster.members));
+                             std::move(cluster.members), ws);
                        };
                      });
     level.trees.reserve(cover.clusters.size());
     for (auto& tree : built) {
       level.trees.push_back(std::move(*tree));
     }
-    level.trees_of.assign(static_cast<std::size_t>(g.node_count()), {});
-    for (std::size_t t = 0; t < level.trees.size(); ++t) {
-      for (NodeId v : level.trees[t].members()) {
-        level.trees_of[static_cast<std::size_t>(v)].push_back(
-            static_cast<std::int32_t>(t));
-      }
-    }
+    index_memberships(level, static_cast<std::size_t>(g.node_count()));
     levels_.push_back(std::move(level));
     if (radius >= diameter) break;
   }
@@ -66,7 +95,17 @@ TreeRef load_tree_ref(SnapshotReader& r) {
   return ref;
 }
 
+namespace {
+
+// Leads the hierarchy encoding.  Hierarchies written before double trees
+// and tree routers stored member-indexed arrays began with k (a small i32)
+// here, so their blobs are rejected instead of misread.
+constexpr std::uint32_t kHierarchyLayoutTag = 0x3248434du;  // "MCH2"
+
+}  // namespace
+
 void CoverHierarchy::save(SnapshotWriter& w) const {
+  w.u32(kHierarchyLayoutTag);
   w.i32(k_);
   w.u64(levels_.size());
   for (const HierarchyLevel& level : levels_) {
@@ -74,14 +113,17 @@ void CoverHierarchy::save(SnapshotWriter& w) const {
     w.vec(level.trees,
           [](SnapshotWriter& ww, const DoubleTree& t) { t.save(ww); });
     w.vec_i32(level.home_of);
-    w.vec(level.trees_of, [](SnapshotWriter& ww,
-                             const std::vector<std::int32_t>& ts) {
-      ww.vec_i32(ts);
-    });
   }
 }
 
-CoverHierarchy::CoverHierarchy(SnapshotReader& r) : k_(r.i32()) {
+CoverHierarchy::CoverHierarchy(SnapshotReader& r) {
+  if (const std::uint32_t tag = r.u32(); tag != kHierarchyLayoutTag) {
+    throw SnapshotFormatError(
+        "snapshot: cover hierarchy layout tag " + std::to_string(tag) +
+        " is not the member-indexed layout this binary reads (re-save the "
+        "snapshot)");
+  }
+  k_ = r.i32();
   const std::uint64_t level_count = r.u64();
   // Radii double per level, so 64 levels already exceed any Dist; treat more
   // as corruption rather than trusting the count with an allocation.
@@ -96,8 +138,11 @@ CoverHierarchy::CoverHierarchy(SnapshotReader& r) : k_(r.i32()) {
     level.trees =
         r.vec<DoubleTree>([](SnapshotReader& rr) { return DoubleTree(rr); }, 8);
     level.home_of = r.vec_i32();
-    level.trees_of = r.vec<std::vector<std::int32_t>>(
-        [](SnapshotReader& rr) { return rr.vec_i32(); }, 8);
+    try {
+      index_memberships(level, level.home_of.size());
+    } catch (const std::invalid_argument& e) {
+      throw SnapshotFormatError(std::string("snapshot: ") + e.what());
+    }
     levels_.push_back(std::move(level));
   }
 }
@@ -116,6 +161,7 @@ void CoverHierarchy::audit(AuditReport& report) const {
   std::string radii_detail, homes_detail, trees_of_detail, heights_detail,
       trees_detail;
   std::int64_t max_trees_per_node = 0;
+  double max_slots_per_membership = 0.0;
 
   for (std::size_t li = 0; li < levels_.size(); ++li) {
     const HierarchyLevel& level = levels_[li];
@@ -123,7 +169,10 @@ void CoverHierarchy::audit(AuditReport& report) const {
       radii_ok = false;
       radii_detail = "radius does not double at level " + std::to_string(li);
     }
-    if (homes_ok && (level.home_of.size() != n || level.trees_of.size() != n)) {
+    if (homes_ok && (level.home_of.size() != n ||
+                     level.membership_off.size() != n + 1 ||
+                     level.membership_off.back() !=
+                         static_cast<std::int64_t>(level.memberships.size()))) {
       homes_ok = false;
       homes_detail = "per-node arrays of level " + std::to_string(li) +
                      " are not sized to the node count";
@@ -141,27 +190,40 @@ void CoverHierarchy::audit(AuditReport& report) const {
                        " has no valid home tree containing it";
       }
     }
-    // trees_of must list exactly the containing trees: every listed tree
-    // contains the node, and the total listed count equals the total member
-    // count over the level's trees (so nothing is omitted either).
+    // trees_of must list exactly the containing trees, ascending, each with
+    // the node's member index in it: every listed tree contains the node at
+    // that index, and the total listed count equals the total member count
+    // over the level's trees (so nothing is omitted either).
     std::int64_t listed = 0;
     std::int64_t member_total = 0;
-    for (const DoubleTree& t : level.trees) member_total += t.member_count();
+    std::size_t slots = 0;
+    for (const DoubleTree& t : level.trees) {
+      member_total += t.member_count();
+      slots += t.stored_slots();
+    }
+    if (member_total > 0) {
+      max_slots_per_membership =
+          std::max(max_slots_per_membership,
+                   static_cast<double>(slots) / static_cast<double>(member_total));
+    }
     for (std::size_t v = 0; trees_of_ok && v < n; ++v) {
-      const auto& ts = level.trees_of[v];
+      const auto row = level.trees_of(static_cast<NodeId>(v));
       max_trees_per_node =
-          std::max(max_trees_per_node, static_cast<std::int64_t>(ts.size()));
-      listed += static_cast<std::int64_t>(ts.size());
-      for (const std::int32_t t : ts) {
-        if (t < 0 || t >= tree_count ||
-            !level.trees[static_cast<std::size_t>(t)].contains(
-                static_cast<NodeId>(v))) {
-          trees_of_ok = false;
-          trees_of_detail = "trees_of lists a non-containing tree for node " +
-                            std::to_string(v) + " at level " +
-                            std::to_string(li);
-          break;
-        }
+          std::max(max_trees_per_node, static_cast<std::int64_t>(row.size()));
+      listed += static_cast<std::int64_t>(row.size());
+      bool row_ok = true;
+      for (std::size_t j = 0; row_ok && j < row.size(); ++j) {
+        const auto [t, index] = row[j];
+        row_ok = t >= 0 && t < tree_count && (j == 0 || row[j - 1].tree < t) &&
+                 level.trees[static_cast<std::size_t>(t)].index_of(
+                     static_cast<NodeId>(v)) == index;
+      }
+      if (!row_ok) {
+        trees_of_ok = false;
+        trees_of_detail = "trees_of of node " + std::to_string(v) +
+                          " at level " + std::to_string(li) +
+                          " lists a non-containing tree or a wrong member "
+                          "index";
       }
     }
     if (trees_of_ok && listed != member_total) {
@@ -211,6 +273,10 @@ void CoverHierarchy::audit(AuditReport& report) const {
   report.measure("trees-per-node", static_cast<double>(max_trees_per_node),
                  budget, "max per-level tree memberships of one node vs "
                          "tree_slack * 2k n^(1/k)");
+  // Lemma 14 storage: a level's double trees store one slot per membership,
+  // so per-node (dense) arrays push this ratio toward n / average tree size.
+  report.measure("stored-slots-per-membership", max_slots_per_membership, 1.0,
+                 "max per-level stored per-member slots / total memberships");
 }
 
 std::optional<TreeRef> CoverHierarchy::lowest_home_containing(NodeId v,

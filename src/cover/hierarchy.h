@@ -15,6 +15,7 @@
 #define RTR_COVER_HIERARCHY_H
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cover/double_tree.h"
@@ -37,11 +38,29 @@ struct TreeRef {
 void save_tree_ref(SnapshotWriter& w, const TreeRef& ref);
 [[nodiscard]] TreeRef load_tree_ref(SnapshotReader& r);
 
+/// One node's membership in one tree of a level: the tree's index and the
+/// node's member index inside it.
+struct TreeMembership {
+  std::int32_t tree = -1;
+  std::int32_t index = -1;
+};
+
 struct HierarchyLevel {
   Dist radius = 0;  // 2^{i}
   std::vector<DoubleTree> trees;
-  std::vector<std::int32_t> home_of;               // per node
-  std::vector<std::vector<std::int32_t>> trees_of; // per node: tree indices
+  std::vector<std::int32_t> home_of;  // per node
+  /// Per node, CSR over `memberships`: the trees containing the node,
+  /// ascending by tree index, each with the node's member index in it.
+  /// This is the node's own view of its per-tree state (at most 2k n^{1/k}
+  /// entries, Theorem 13(3)); derived from `trees`, not persisted.
+  std::vector<std::int64_t> membership_off;  // n + 1
+  std::vector<TreeMembership> memberships;
+
+  [[nodiscard]] std::span<const TreeMembership> trees_of(NodeId v) const {
+    const auto b = membership_off[static_cast<std::size_t>(v)];
+    const auto e = membership_off[static_cast<std::size_t>(v) + 1];
+    return {memberships.data() + b, static_cast<std::size_t>(e - b)};
+  }
 };
 
 class CoverHierarchy {
@@ -69,6 +88,18 @@ class CoverHierarchy {
         .trees[static_cast<std::size_t>(ref.tree)];
   }
 
+  /// v's member index in the tree `ref`, or -1 when that tree does not
+  /// contain v.  Searches only v's own short tree list at ref's level, so a
+  /// forwarding hop costs O(log(trees per node)), not O(log |tree|).
+  [[nodiscard]] std::int32_t member_index(TreeRef ref, NodeId v) const {
+    // Rows average under two entries, so a scan beats a binary search.
+    for (const TreeMembership& m :
+         levels_[static_cast<std::size_t>(ref.level)].trees_of(v)) {
+      if (m.tree >= ref.tree) return m.tree == ref.tree ? m.index : -1;
+    }
+    return -1;
+  }
+
   /// The home double-tree of v at level i.
   [[nodiscard]] TreeRef home(NodeId v, std::int32_t level_index) const {
     return TreeRef{level_index,
@@ -85,12 +116,15 @@ class CoverHierarchy {
   /// member of, trees_of lists exactly the trees containing each node,
   /// level-i RTHeights stay within (2k-1) * radius (Theorem 13(2)), the
   /// per-node tree count stays within tree_slack * 2k n^{1/k} per level
-  /// (Theorem 13(3)), and every double tree is internally sound (their deep
-  /// audits are aggregated into one entry per level to keep reports small).
+  /// (Theorem 13(3)), each level's trees store exactly one per-member slot
+  /// per membership (the Lemma 14 storage, measured so that arrays sized to
+  /// the graph fail the audit), and every double tree is internally sound
+  /// (their deep audits are aggregated into one entry per level to keep
+  /// reports small).
   void audit(AuditReport& report) const;
 
  private:
-  int k_;
+  int k_ = 0;
   std::vector<HierarchyLevel> levels_;
 };
 

@@ -28,7 +28,9 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
   // invocation received (the active set).
   const double r_pow = std::pow(static_cast<double>(active_count), 1.0 / k);
 
-  // node -> active clusters containing it (for incremental intersection).
+  // node -> clusters active at entry that contain it (for incremental
+  // intersection).  Lists are never edited: a cluster leaves U by clearing
+  // its is_active flag, and the scan below skips inactive entries.
   std::vector<std::vector<std::int32_t>> clusters_at(static_cast<std::size_t>(n));
   for (std::int32_t c = 0; c < cluster_count; ++c) {
     if (!is_active[static_cast<std::size_t>(c)]) continue;
@@ -38,7 +40,6 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
   }
 
   std::vector<char> node_in_z(static_cast<std::size_t>(n), 0);
-  std::vector<char> cluster_in_z(static_cast<std::size_t>(cluster_count), 0);
 
   std::int32_t next_seed_scan = 0;
   while (true) {
@@ -52,9 +53,11 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
     const std::int32_t s0 = next_seed_scan;
 
     // Z as cluster-index list + node set, grown incrementally.  `frontier`
-    // holds nodes whose cluster lists have not been scanned yet.
+    // holds nodes whose cluster lists have not been scanned yet.  U <- U \ Z
+    // happens as clusters join Z: joining clears the active flag, which
+    // also keeps a cluster from joining twice.
     std::vector<std::int32_t> z_clusters{s0};
-    cluster_in_z[static_cast<std::size_t>(s0)] = 1;
+    is_active[static_cast<std::size_t>(s0)] = 0;
     std::vector<NodeId> z_nodes;
     std::vector<NodeId> frontier;
     for (NodeId v : r_clusters[static_cast<std::size_t>(s0)].members) {
@@ -75,8 +78,8 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
       std::vector<NodeId> new_frontier;
       for (NodeId v : frontier) {
         for (std::int32_t c : clusters_at[static_cast<std::size_t>(v)]) {
-          if (cluster_in_z[static_cast<std::size_t>(c)]) continue;
-          cluster_in_z[static_cast<std::size_t>(c)] = 1;
+          if (!is_active[static_cast<std::size_t>(c)]) continue;
+          is_active[static_cast<std::size_t>(c)] = 0;
           z_clusters.push_back(c);
           for (NodeId w : r_clusters[static_cast<std::size_t>(c)].members) {
             if (!node_in_z[static_cast<std::size_t>(w)]) {
@@ -109,14 +112,6 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
     }
     result.merged.push_back(std::move(merged));
 
-    // U <- U \ Z: deactivate every cluster of Z and unhook its nodes.
-    for (std::int32_t c : z_clusters) {
-      is_active[static_cast<std::size_t>(c)] = 0;
-      for (NodeId v : r_clusters[static_cast<std::size_t>(c)].members) {
-        auto& list = clusters_at[static_cast<std::size_t>(v)];
-        list.erase(std::remove(list.begin(), list.end(), c), list.end());
-      }
-    }
     // Reset the node markers touched by this batch.
     for (NodeId v : z_nodes) node_in_z[static_cast<std::size_t>(v)] = 0;
   }

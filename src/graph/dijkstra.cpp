@@ -10,10 +10,9 @@ namespace {
 
 using QueueItem = std::pair<Dist, NodeId>;  // (distance, node), min-heap
 
-// Core Dijkstra over the subgraph induced by `mask` (nullptr = whole graph).
-// Fills dist (and, when kWithParents, parent/parent_port) relative to `g`, so
-// for in-trees the caller passes the reversed graph and reinterprets parents
-// as next hops.
+// Core Dijkstra over the whole graph.  Fills dist (and, when kWithParents,
+// parent/parent_port) relative to `g`, so for in-trees the caller passes the
+// reversed graph and reinterprets parents as next hops.
 //
 // The heap lives in a caller-owned buffer driven with std::push_heap /
 // std::pop_heap -- exactly the algorithms std::priority_queue is specified
@@ -22,17 +21,14 @@ using QueueItem = std::pair<Dist, NodeId>;  // (distance, node), min-heap
 // runs.  Distance-only runs (kWithParents = false) skip the parent arrays
 // entirely: two fewer O(n) fills per run and one fewer store per relaxation.
 template <bool kWithParents>
-void run_core(const Digraph& g, NodeId src, const std::vector<char>* mask,
-              std::span<Dist> dist, std::vector<NodeId>* parent,
-              std::vector<Port>* parent_port, std::vector<QueueItem>& heap) {
+void run_core(const Digraph& g, NodeId src, std::span<Dist> dist,
+              std::vector<NodeId>* parent, std::vector<Port>* parent_port,
+              std::vector<QueueItem>& heap) {
   const auto n = static_cast<std::size_t>(g.node_count());
   std::fill(dist.begin(), dist.end(), kInfDist);
   if constexpr (kWithParents) {
     parent->assign(n, kNoNode);
     parent_port->assign(n, kNoPort);
-  }
-  if (mask != nullptr && !(*mask)[static_cast<std::size_t>(src)]) {
-    throw std::invalid_argument("dijkstra: source not in member mask");
   }
   heap.clear();
   dist[static_cast<std::size_t>(src)] = 0;
@@ -43,7 +39,6 @@ void run_core(const Digraph& g, NodeId src, const std::vector<char>* mask,
     heap.pop_back();
     if (d != dist[static_cast<std::size_t>(u)]) continue;  // stale entry
     for (const Edge& e : g.out_edges(u)) {
-      if (mask != nullptr && !(*mask)[static_cast<std::size_t>(e.to)]) continue;
       const Dist nd = d + e.weight;
       const auto to = static_cast<std::size_t>(e.to);
       if (nd < dist[to]) {
@@ -61,11 +56,11 @@ void run_core(const Digraph& g, NodeId src, const std::vector<char>* mask,
 
 // Tree-shaped run into the tree's own arrays (they must outlive the
 // workspace), reusing only the heap buffer.
-void run_tree(const Digraph& g, NodeId src, const std::vector<char>* mask,
-              std::vector<Dist>& dist, std::vector<NodeId>& parent,
-              std::vector<Port>& parent_port, DijkstraWorkspace& ws) {
+void run_tree(const Digraph& g, NodeId src, std::vector<Dist>& dist,
+              std::vector<NodeId>& parent, std::vector<Port>& parent_port,
+              DijkstraWorkspace& ws) {
   dist.resize(static_cast<std::size_t>(g.node_count()));
-  run_core<true>(g, src, mask, dist, &parent, &parent_port, ws.heap);
+  run_core<true>(g, src, dist, &parent, &parent_port, ws.heap);
 }
 
 }  // namespace
@@ -341,22 +336,7 @@ OutTree dijkstra_out_tree(const Digraph& g, NodeId root) {
 OutTree dijkstra_out_tree(const Digraph& g, NodeId root, DijkstraWorkspace& ws) {
   OutTree t;
   t.root = root;
-  run_tree(g, root, nullptr, t.dist, t.parent, t.parent_port, ws);
-  return t;
-}
-
-OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
-                                 const std::vector<char>& member_mask) {
-  DijkstraWorkspace ws;
-  return dijkstra_out_tree_within(g, root, member_mask, ws);
-}
-
-OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
-                                 const std::vector<char>& member_mask,
-                                 DijkstraWorkspace& ws) {
-  OutTree t;
-  t.root = root;
-  run_tree(g, root, &member_mask, t.dist, t.parent, t.parent_port, ws);
+  run_tree(g, root, t.dist, t.parent, t.parent_port, ws);
   return t;
 }
 
@@ -385,11 +365,11 @@ InTree in_tree_from_reversed_run(const Digraph& g, NodeId root,
 }
 
 InTree in_tree_run(const Digraph& g, const Digraph& reversed, NodeId root,
-                   const std::vector<char>* mask, DijkstraWorkspace& ws) {
+                   DijkstraWorkspace& ws) {
   std::vector<Dist> dist(static_cast<std::size_t>(reversed.node_count()));
   std::vector<NodeId> parent;
   std::vector<Port> port_unused;
-  run_core<true>(reversed, root, mask, dist, &parent, &port_unused, ws.heap);
+  run_core<true>(reversed, root, dist, &parent, &port_unused, ws.heap);
   return in_tree_from_reversed_run(g, root, std::move(dist), std::move(parent));
 }
 
@@ -397,24 +377,156 @@ InTree in_tree_run(const Digraph& g, const Digraph& reversed, NodeId root,
 
 InTree dijkstra_in_tree(const Digraph& g, const Digraph& reversed, NodeId root) {
   DijkstraWorkspace ws;
-  return in_tree_run(g, reversed, root, nullptr, ws);
+  return in_tree_run(g, reversed, root, ws);
 }
 
 InTree dijkstra_in_tree(const Digraph& g, const Digraph& reversed, NodeId root,
                         DijkstraWorkspace& ws) {
-  return in_tree_run(g, reversed, root, nullptr, ws);
+  return in_tree_run(g, reversed, root, ws);
+}
+
+namespace {
+
+// Dijkstra inside the subgraph induced by `members`, with every per-node
+// array indexed by member slot.  The heap still orders (distance, node id)
+// pairs and arcs are relaxed in out_edges order, so pops, relaxations and
+// therefore parents are exactly those of a node-indexed run restricted to
+// the same members.
+void run_members(const Digraph& g, NodeId src, std::span<const NodeId> members,
+                 DijkstraWorkspace& ws, MemberTree& out) {
+  const NodeId n = g.node_count();
+  if (ws.slot.size() < static_cast<std::size_t>(n)) {
+    ws.slot.assign(static_cast<std::size_t>(n), -1);
+  }
+  for (const NodeId v : members) {
+    if (v < 0 || v >= n) {
+      throw std::invalid_argument("dijkstra: member id out of range");
+    }
+  }
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    ws.slot[static_cast<std::size_t>(members[i])] = static_cast<std::int32_t>(i);
+  }
+  // Clears exactly the slots set above, on every exit path.
+  struct Unmark {
+    std::vector<std::int32_t>& slot;
+    std::span<const NodeId> members;
+    ~Unmark() {
+      for (const NodeId v : members) slot[static_cast<std::size_t>(v)] = -1;
+    }
+  } unmark{ws.slot, members};
+  const std::int32_t root =
+      src >= 0 && src < n ? ws.slot[static_cast<std::size_t>(src)] : -1;
+  if (root < 0) throw std::invalid_argument("dijkstra: source not a member");
+
+  out.dist.assign(members.size(), kInfDist);
+  out.link.assign(members.size(), -1);
+  out.port.assign(members.size(), kNoPort);
+  auto& heap = ws.heap;
+  heap.clear();
+  out.dist[static_cast<std::size_t>(root)] = 0;
+  heap.emplace_back(0, src);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [d, u] = heap.back();
+    heap.pop_back();
+    const std::int32_t su = ws.slot[static_cast<std::size_t>(u)];
+    if (d != out.dist[static_cast<std::size_t>(su)]) continue;  // stale entry
+    for (const Edge& e : g.out_edges(u)) {
+      const std::int32_t st = ws.slot[static_cast<std::size_t>(e.to)];
+      if (st < 0) continue;
+      const Dist nd = d + e.weight;
+      const auto to = static_cast<std::size_t>(st);
+      if (nd < out.dist[to]) {
+        out.dist[to] = nd;
+        out.link[to] = su;
+        out.port[to] = e.port;
+        heap.emplace_back(nd, e.to);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void dijkstra_out_tree_members(const Digraph& g, NodeId root,
+                               std::span<const NodeId> members,
+                               DijkstraWorkspace& ws, MemberTree& out) {
+  run_members(g, root, members, ws, out);
+}
+
+void dijkstra_in_tree_members(const Digraph& g, const Digraph& reversed,
+                              NodeId root, std::span<const NodeId> members,
+                              DijkstraWorkspace& ws, MemberTree& out) {
+  run_members(reversed, root, members, ws, out);
+  // The reversed run's ports belong to the reversal; the next-hop port is
+  // looked up at the member in the original graph (cf. in_tree_run).
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const std::int32_t next = out.link[i];
+    out.port[i] = next < 0 ? kNoPort
+                           : g.port_of_edge(members[i],
+                                            members[static_cast<std::size_t>(next)]);
+  }
+}
+
+namespace {
+
+std::vector<NodeId> members_of(const std::vector<char>& member_mask) {
+  std::vector<NodeId> members;
+  for (std::size_t v = 0; v < member_mask.size(); ++v) {
+    if (member_mask[v]) members.push_back(static_cast<NodeId>(v));
+  }
+  return members;
+}
+
+}  // namespace
+
+// The node-indexed restricted trees scatter a member-indexed run, so there
+// is one restricted Dijkstra.
+OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
+                                 const std::vector<char>& member_mask) {
+  const std::vector<NodeId> members = members_of(member_mask);
+  DijkstraWorkspace ws;
+  MemberTree run;
+  dijkstra_out_tree_members(g, root, members, ws, run);
+  const auto n = static_cast<std::size_t>(g.node_count());
+  OutTree t;
+  t.root = root;
+  t.dist.assign(n, kInfDist);
+  t.parent.assign(n, kNoNode);
+  t.parent_port.assign(n, kNoPort);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const auto v = static_cast<std::size_t>(members[i]);
+    t.dist[v] = run.dist[i];
+    if (run.link[i] >= 0) {
+      t.parent[v] = members[static_cast<std::size_t>(run.link[i])];
+      t.parent_port[v] = run.port[i];
+    }
+  }
+  return t;
 }
 
 InTree dijkstra_in_tree_within(const Digraph& g, const Digraph& reversed,
                                NodeId root, const std::vector<char>& member_mask) {
+  const std::vector<NodeId> members = members_of(member_mask);
   DijkstraWorkspace ws;
-  return in_tree_run(g, reversed, root, &member_mask, ws);
-}
-
-InTree dijkstra_in_tree_within(const Digraph& g, const Digraph& reversed,
-                               NodeId root, const std::vector<char>& member_mask,
-                               DijkstraWorkspace& ws) {
-  return in_tree_run(g, reversed, root, &member_mask, ws);
+  MemberTree run;
+  dijkstra_in_tree_members(g, reversed, root, members, ws, run);
+  const auto n = static_cast<std::size_t>(g.node_count());
+  InTree t;
+  t.root = root;
+  t.dist.assign(n, kInfDist);
+  t.next.assign(n, kNoNode);
+  t.next_port.assign(n, kNoPort);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const auto v = static_cast<std::size_t>(members[i]);
+    t.dist[v] = run.dist[i];
+    if (run.link[i] >= 0) {
+      t.next[v] = members[static_cast<std::size_t>(run.link[i])];
+      t.next_port[v] = run.port[i];
+    }
+  }
+  return t;
 }
 
 std::optional<std::vector<NodeId>> out_tree_path(const OutTree& t, NodeId v) {

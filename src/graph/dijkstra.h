@@ -8,7 +8,8 @@
 //    (and its port) on a shortest path toward the root.  This is InTree(C).
 //
 // Restricted variants compute the same trees inside the subgraph induced by a
-// member mask, which Section 4's cluster double-trees require.
+// member set, which Section 4's cluster double-trees require; they store
+// per member (MemberTree), so a run costs the cluster, not the graph.
 //
 // Repeated-run callers (APSP is n runs, cover construction is one run per
 // cluster) pass a DijkstraWorkspace so the distance array and the binary-heap
@@ -55,6 +56,23 @@ struct DijkstraWorkspace {
   /// Circular bucket queue (Dial) used by the small-weight distance-only
   /// fast path; one bucket per residual distance in [0, max_weight].
   std::vector<std::vector<NodeId>> buckets;
+  /// Member slot per node for the member-indexed tree runs: -1 everywhere
+  /// between runs; a run sets it over its member list and clears it again,
+  /// so back-to-back small clusters never pay an O(n) fill.
+  std::vector<std::int32_t> slot;
+};
+
+/// A shortest-path tree inside the subgraph induced by a sorted member
+/// list, stored per member: entry i describes members[i].  `link` is the
+/// member index of the tree neighbour toward the root (-1 at the root and at
+/// members the root does not reach).  For an out-tree that neighbour is the
+/// parent and `port` the port at the parent leading to the member; for an
+/// in-tree it is the next hop and `port` the port at the member leading to
+/// it.
+struct MemberTree {
+  std::vector<Dist> dist;
+  std::vector<std::int32_t> link;
+  std::vector<Port> port;
 };
 
 /// One settled node of a bounded run: the exact distance d(src, node).
@@ -157,21 +175,30 @@ void dijkstra_distances_into(const Digraph& g, NodeId src, DijkstraWorkspace& ws
                                       NodeId root, DijkstraWorkspace& ws);
 
 /// Out-tree restricted to the subgraph induced by member_mask (root must be a
-/// member; non-members keep dist == kInfDist).
+/// member; non-members keep dist == kInfDist).  The node-indexed form of
+/// dijkstra_out_tree_members, for one-shot callers.
 [[nodiscard]] OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
                                                const std::vector<char>& member_mask);
-[[nodiscard]] OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
-                                               const std::vector<char>& member_mask,
-                                               DijkstraWorkspace& ws);
 
-/// In-tree restricted to the induced subgraph.
+/// In-tree restricted to the induced subgraph (node-indexed form of
+/// dijkstra_in_tree_members).
 [[nodiscard]] InTree dijkstra_in_tree_within(const Digraph& g,
                                              const Digraph& reversed, NodeId root,
                                              const std::vector<char>& member_mask);
-[[nodiscard]] InTree dijkstra_in_tree_within(const Digraph& g,
-                                             const Digraph& reversed, NodeId root,
-                                             const std::vector<char>& member_mask,
-                                             DijkstraWorkspace& ws);
+
+/// Out-tree restricted to the subgraph induced by `members` (sorted
+/// ascending, unique; root must be one of them), computed and stored per
+/// member.  Pop order and tie-breaks match dijkstra_out_tree_within exactly,
+/// so the tree is the same; the run touches only the members and their arcs.
+void dijkstra_out_tree_members(const Digraph& g, NodeId root,
+                               std::span<const NodeId> members,
+                               DijkstraWorkspace& ws, MemberTree& out);
+
+/// In-tree counterpart of dijkstra_out_tree_members (the same tree as
+/// dijkstra_in_tree_within, per member).  `reversed` must be g.reversed().
+void dijkstra_in_tree_members(const Digraph& g, const Digraph& reversed,
+                              NodeId root, std::span<const NodeId> members,
+                              DijkstraWorkspace& ws, MemberTree& out);
 
 /// Reconstructs the root->v path of an out-tree (node sequence including both
 /// endpoints).  Returns std::nullopt if v is unreachable.

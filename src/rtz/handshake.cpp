@@ -23,17 +23,20 @@ R2Label load_r2_label(SnapshotReader& r) {
 
 DtStep dt_step(const CoverHierarchy& hierarchy, NodeId at, DtLeg& leg) {
   const DoubleTree& tree = hierarchy.tree(leg.tree);
-  if (!tree.contains(at)) {
+  // One lookup in at's own tree list serves the up port and the router
+  // table.
+  const std::int32_t i = hierarchy.member_index(leg.tree, at);
+  if (i < 0) {
     throw std::logic_error("dt_step: node is outside the leg's double tree");
   }
   if (leg.going_up) {
     if (at == tree.center()) {
       leg.going_up = false;
     } else {
-      return DtStep{false, tree.up_port(at)};
+      return DtStep{false, tree.up_port_at(i)};
     }
   }
-  Port p = tree_next_port(tree.out_router().table(at), leg.target);
+  Port p = tree_next_port(tree.out_router().table_at(i), leg.target);
   if (p == kNoPort) return DtStep{true, kNoPort};
   return DtStep{false, p};
 }
@@ -42,21 +45,27 @@ R2Label compute_r2(const CoverHierarchy& hierarchy, NodeId u, NodeId v) {
   for (std::int32_t level = 0; level < hierarchy.level_count(); ++level) {
     const HierarchyLevel& lvl = hierarchy.level(level);
     std::int32_t best_tree = -1;
+    std::int32_t best_u = -1;
+    std::int32_t best_v = -1;
     Dist best_cost = kInfDist;
-    for (std::int32_t t : lvl.trees_of[static_cast<std::size_t>(u)]) {
-      const DoubleTree& tree = lvl.trees[static_cast<std::size_t>(t)];
-      if (!tree.contains(v)) continue;
+    for (const auto [t, iu] : lvl.trees_of(u)) {
+      const std::int32_t iv = hierarchy.member_index(TreeRef{level, t}, v);
+      if (iv < 0) continue;
       // Cost of the u -> root -> v trip ("most convenient" tree).
-      const Dist cost = tree.up_dist(u) + tree.down_dist(v);
+      const DoubleTree& tree = lvl.trees[static_cast<std::size_t>(t)];
+      const Dist cost = tree.up_dist_at(iu) + tree.down_dist_at(iv);
       if (cost < best_cost) {
         best_cost = cost;
         best_tree = t;
+        best_u = iu;
+        best_v = iv;
       }
     }
     if (best_tree >= 0) {
-      const DoubleTree& tree = lvl.trees[static_cast<std::size_t>(best_tree)];
-      return R2Label{TreeRef{level, best_tree}, tree.out_router().label(u),
-                     tree.out_router().label(v)};
+      const TreeRouter& router =
+          lvl.trees[static_cast<std::size_t>(best_tree)].out_router();
+      return R2Label{TreeRef{level, best_tree}, router.label_at(best_u),
+                     router.label_at(best_v)};
     }
   }
   throw std::logic_error("compute_r2: no common double tree for the pair");
@@ -73,8 +82,8 @@ TableStats hierarchy_node_stats(const CoverHierarchy& hierarchy, NodeId n,
   for (std::int32_t level = 0; level < hierarchy.level_count(); ++level) {
     const HierarchyLevel& lvl = hierarchy.level(level);
     for (NodeId v = 0; v < n; ++v) {
-      const auto memberships = static_cast<std::int64_t>(
-          lvl.trees_of[static_cast<std::size_t>(v)].size());
+      const auto memberships =
+          static_cast<std::int64_t>(lvl.trees_of(v).size());
       // Per membership: tree id + up-port + (dfs_in, heavy_port) table.
       stats.add(v, memberships,
                 memberships * (tree_id_bits + port_bits + id_bits + port_bits));

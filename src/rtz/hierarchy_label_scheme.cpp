@@ -153,9 +153,9 @@ TableStats HierarchyLabelScheme::table_stats() const {
   for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
     const HierarchyLevel& lvl = hierarchy_->level(level);
     for (NodeId v = 0; v < n; ++v) {
-      for (std::int32_t t : lvl.trees_of[static_cast<std::size_t>(v)]) {
+      for (const auto [t, i] : lvl.trees_of(v)) {
         const TreeLabel label =
-            lvl.trees[static_cast<std::size_t>(t)].out_router().label(v);
+            lvl.trees[static_cast<std::size_t>(t)].out_router().label_at(i);
         stats.add(v, 1, tree_label_bits(label, node_space_, port_space_));
       }
     }

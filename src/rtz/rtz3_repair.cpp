@@ -48,16 +48,6 @@
 
 namespace rtr {
 
-namespace {
-
-std::vector<char> mask_of(NodeId n, std::span<const NodeId> members) {
-  std::vector<char> mask(static_cast<std::size_t>(n), 0);
-  for (NodeId v : members) mask[static_cast<std::size_t>(v)] = 1;
-  return mask;
-}
-
-}  // namespace
-
 std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
     const Rtz3Scheme& old_scheme, const Digraph& old_graph,
     const Digraph& new_graph, const RoundtripMetric& new_metric,
@@ -308,7 +298,9 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
           const std::size_t slot =
               static_cast<std::size_t>(v) * cc + static_cast<std::size_t>(ci);
           ctr_up[slot] = in.next_port[static_cast<std::size_t>(v)];
-          ctr_tab[slot] = router.table(v);
+          if (const std::int32_t i = router.index_of(v); i >= 0) {
+            ctr_tab[slot] = router.table_at(i);
+          }
           if (s->balls_.nearest_center[static_cast<std::size_t>(v)] ==
               static_cast<std::int32_t>(ci)) {
             s->addresses_[static_cast<std::size_t>(v)] =
@@ -343,7 +335,8 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
   for (NodeId lo = 0; lo < n && !splice_failed.load(); lo += chunk_size) {
     const NodeId hi = std::min<NodeId>(n, lo + chunk_size);
     parallel_tickets(hi - lo, workers, [&] {
-      return [&, ws = DijkstraWorkspace{}](std::int64_t ticket) mutable {
+      return [&, ws = DijkstraWorkspace{}, out = MemberTree{},
+              in = MemberTree{}](std::int64_t ticket) mutable {
         const NodeId v = lo + static_cast<NodeId>(ticket);
         const auto vz = static_cast<std::size_t>(v);
         const auto members = s->balls_.ball(v);
@@ -374,14 +367,14 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
           }
           return;
         }
-        auto mask = mask_of(n, members);
-        OutTree out = dijkstra_out_tree_within(new_graph, v, mask, ws);
-        InTree in = dijkstra_in_tree_within(new_graph, reversed, v, mask, ws);
-        TreeRouter router(out);
-        for (NodeId w : members) {
-          prod.labels.push_back(router.label(w));
-          prod.tabs.push_back(router.table(w));
-          prod.up_ports.push_back(in.next_port[static_cast<std::size_t>(w)]);
+        dijkstra_out_tree_members(new_graph, v, members, ws, out);
+        dijkstra_in_tree_members(new_graph, reversed, v, members, ws, in);
+        const TreeRouter router(v, {members.begin(), members.end()}, out.link,
+                                out.port);
+        for (std::int32_t i = 0; i < router.member_count(); ++i) {
+          prod.labels.push_back(router.label_at(i));
+          prod.tabs.push_back(router.table_at(i));
+          prod.up_ports.push_back(in.port[static_cast<std::size_t>(i)]);
         }
       };
     });

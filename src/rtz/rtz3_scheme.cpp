@@ -21,12 +21,6 @@ namespace rtr {
 
 namespace {
 
-std::vector<char> mask_of(NodeId n, std::span<const NodeId> members) {
-  std::vector<char> mask(static_cast<std::size_t>(n), 0);
-  for (NodeId v : members) mask[static_cast<std::size_t>(v)] = 1;
-  return mask;
-}
-
 /// v1 staging decode for NameDict: the on-disk encoding is the sorted
 /// (key, payload) sequence, identical to the PR <= 4 vector-of-pairs bytes.
 template <typename V, typename LoadV>
@@ -137,7 +131,9 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
         const std::size_t slot =
             static_cast<std::size_t>(v) * cc + static_cast<std::size_t>(ci);
         ctr_up[slot] = in.next_port[static_cast<std::size_t>(v)];
-        ctr_tab[slot] = router.table(v);
+        if (const std::int32_t i = router.index_of(v); i >= 0) {
+          ctr_tab[slot] = router.table_at(i);
+        }
         if (balls_.nearest_center[static_cast<std::size_t>(v)] ==
             static_cast<std::int32_t>(ci)) {
           addresses_[static_cast<std::size_t>(v)] =
@@ -170,13 +166,14 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
   for (NodeId lo = 0; lo < n; lo += chunk_size) {
     const NodeId hi = std::min<NodeId>(n, lo + chunk_size);
     parallel_tickets(hi - lo, workers, [&] {
-      return [&, ws = DijkstraWorkspace{}](std::int64_t ticket) mutable {
+      return [&, ws = DijkstraWorkspace{}, out = MemberTree{},
+              in = MemberTree{}](std::int64_t ticket) mutable {
         const NodeId v = lo + static_cast<NodeId>(ticket);
         const auto members = balls_.ball(v);
-        auto mask = mask_of(n, members);
-        OutTree out = dijkstra_out_tree_within(g, v, mask, ws);
-        InTree in = dijkstra_in_tree_within(g, reversed, v, mask, ws);
-        TreeRouter router(out);
+        dijkstra_out_tree_members(g, v, members, ws, out);
+        dijkstra_in_tree_members(g, reversed, v, members, ws, in);
+        const TreeRouter router(v, {members.begin(), members.end()}, out.link,
+                                out.port);
         BallProduct& prod = products[static_cast<std::size_t>(ticket)];
         prod.labels.clear();
         prod.tabs.clear();
@@ -184,10 +181,10 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
         prod.labels.reserve(members.size());
         prod.tabs.reserve(members.size());
         prod.up_ports.reserve(members.size());
-        for (NodeId w : members) {
-          prod.labels.push_back(router.label(w));
-          prod.tabs.push_back(router.table(w));
-          prod.up_ports.push_back(in.next_port[static_cast<std::size_t>(w)]);
+        for (std::int32_t i = 0; i < router.member_count(); ++i) {
+          prod.labels.push_back(router.label_at(i));
+          prod.tabs.push_back(router.table_at(i));
+          prod.up_ports.push_back(in.port[static_cast<std::size_t>(i)]);
         }
       };
     });

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stack>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -12,101 +12,158 @@
 
 namespace rtr {
 
-TreeRouter::TreeRouter(const OutTree& tree) : root_(tree.root) {
-  const auto n = tree.dist.size();
-  tables_.assign(n, TreeNodeTable{});
-  parent_.assign(n, kNoNode);
-  parent_port_.assign(n, kNoPort);
-  heavy_child_.assign(n, kNoNode);
+TreeRouter::TreeRouter(NodeId root, std::vector<NodeId> members,
+                       std::vector<std::int32_t> parent,
+                       std::vector<Port> parent_port)
+    : root_(root),
+      members_(std::move(members)),
+      parent_(std::move(parent)),
+      parent_port_(std::move(parent_port)) {
+  const auto m = members_.size();
+  if (parent_.size() != m || parent_port_.size() != m) {
+    throw std::invalid_argument("TreeRouter: per-member arrays disagree");
+  }
+  if (std::adjacent_find(members_.begin(), members_.end(),
+                         std::greater_equal<>{}) != members_.end()) {
+    throw std::invalid_argument("TreeRouter: members not sorted and unique");
+  }
+  tables_.assign(m, TreeNodeTable{});
+  heavy_child_.assign(m, -1);
+  if (m == 0) return;
+  const std::int32_t root_index = index_of(root_);
+  if (root_index < 0 || parent_[static_cast<std::size_t>(root_index)] != -1) {
+    throw std::invalid_argument("TreeRouter: root missing or has a parent");
+  }
 
-  // Children lists over reachable members only.
-  std::vector<std::vector<NodeId>> children(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (tree.dist[v] >= kInfDist) continue;
-    members_.push_back(static_cast<NodeId>(v));
-    parent_[v] = tree.parent[v];
-    parent_port_[v] = tree.parent_port[v];
-    if (tree.parent[v] != kNoNode) {
-      children[static_cast<std::size_t>(tree.parent[v])].push_back(
-          static_cast<NodeId>(v));
+  // Children in CSR form, each list ascending by node id (= member index).
+  std::vector<std::int32_t> child_begin(m + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::int32_t p = parent_[i];
+    if (static_cast<std::int32_t>(i) == root_index) continue;
+    if (p < 0 || static_cast<std::size_t>(p) >= m) {
+      throw std::invalid_argument("TreeRouter: member outside the root's tree");
+    }
+    ++child_begin[static_cast<std::size_t>(p) + 1];
+  }
+  for (std::size_t i = 0; i < m; ++i) child_begin[i + 1] += child_begin[i];
+  std::vector<std::int32_t> children(m - 1);
+  std::vector<std::int32_t> fill(child_begin.begin(), child_begin.end() - 1);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (static_cast<std::int32_t>(i) == root_index) continue;
+    children[static_cast<std::size_t>(
+        fill[static_cast<std::size_t>(parent_[i])]++)] =
+        static_cast<std::int32_t>(i);
+  }
+
+  // Iterative preorder DFS assigns dfs_in: children are pushed ascending,
+  // so the highest-id child is numbered first.  A member the walk misses
+  // sits on a parent cycle.
+  std::vector<std::int32_t> preorder;
+  preorder.reserve(m);
+  std::vector<std::int32_t> todo{root_index};
+  while (!todo.empty()) {
+    const std::int32_t v = todo.back();
+    todo.pop_back();
+    tables_[static_cast<std::size_t>(v)].dfs_in =
+        static_cast<std::int32_t>(preorder.size());
+    preorder.push_back(v);
+    for (std::int32_t c = child_begin[static_cast<std::size_t>(v)];
+         c < child_begin[static_cast<std::size_t>(v) + 1]; ++c) {
+      todo.push_back(children[static_cast<std::size_t>(c)]);
     }
   }
-  member_count_ = static_cast<NodeId>(members_.size());
-  if (member_count_ == 0) return;
-
-  // Subtree sizes by processing members in decreasing tree depth order
-  // (distance order suffices: a child is strictly farther than its parent).
-  std::vector<NodeId> by_depth = members_;
-  std::sort(by_depth.begin(), by_depth.end(), [&](NodeId a, NodeId b) {
-    return tree.dist[static_cast<std::size_t>(a)] >
-           tree.dist[static_cast<std::size_t>(b)];
-  });
-  std::vector<std::int64_t> subtree(n, 1);
-  for (NodeId v : by_depth) {
-    NodeId p = parent_[static_cast<std::size_t>(v)];
-    if (p != kNoNode) subtree[static_cast<std::size_t>(p)] += subtree[static_cast<std::size_t>(v)];
+  if (preorder.size() != m) {
+    throw std::invalid_argument("TreeRouter: member outside the root's tree");
   }
 
-  // Heavy child per node.
-  for (NodeId v : members_) {
-    std::int64_t best = -1;
-    for (NodeId c : children[static_cast<std::size_t>(v)]) {
-      if (subtree[static_cast<std::size_t>(c)] > best) {
-        best = subtree[static_cast<std::size_t>(c)];
-        heavy_child_[static_cast<std::size_t>(v)] = c;
-        tables_[static_cast<std::size_t>(v)].heavy_port =
-            parent_port_[static_cast<std::size_t>(c)];
+  // Subtree sizes bottom-up (reverse preorder visits children first), then
+  // the heavy child: the first child, in ascending id order, with a strictly
+  // largest subtree.
+  std::vector<std::int32_t> subtree(m, 1);
+  for (auto it = preorder.rbegin(); it != preorder.rend(); ++it) {
+    const std::int32_t p = parent_[static_cast<std::size_t>(*it)];
+    if (p >= 0) {
+      subtree[static_cast<std::size_t>(p)] +=
+          subtree[static_cast<std::size_t>(*it)];
+    }
+  }
+  for (std::size_t v = 0; v < m; ++v) {
+    std::int32_t best = 0;
+    for (std::int32_t c = child_begin[v]; c < child_begin[v + 1]; ++c) {
+      const std::int32_t child = children[static_cast<std::size_t>(c)];
+      if (subtree[static_cast<std::size_t>(child)] > best) {
+        best = subtree[static_cast<std::size_t>(child)];
+        heavy_child_[v] = child;
+        tables_[v].heavy_port = parent_port_[static_cast<std::size_t>(child)];
       }
     }
   }
+}
 
-  // Iterative preorder DFS assigns dfs_in.
-  std::int32_t counter = 0;
-  std::stack<NodeId> todo;
-  todo.push(root_);
-  while (!todo.empty()) {
-    NodeId v = todo.top();
-    todo.pop();
-    tables_[static_cast<std::size_t>(v)].dfs_in = counter++;
-    for (NodeId c : children[static_cast<std::size_t>(v)]) todo.push(c);
+namespace {
+
+// Member-indexed view of a node-indexed out-tree: members in ascending id
+// order, parents translated to member indices.
+TreeRouter from_out_tree(const OutTree& tree) {
+  const auto n = tree.dist.size();
+  std::vector<std::int32_t> index(n, -1);
+  std::vector<NodeId> members;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (tree.dist[v] >= kInfDist) continue;
+    index[v] = static_cast<std::int32_t>(members.size());
+    members.push_back(static_cast<NodeId>(v));
   }
+  std::vector<std::int32_t> parent(members.size(), -1);
+  std::vector<Port> parent_port(members.size(), kNoPort);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const auto v = static_cast<std::size_t>(members[i]);
+    if (tree.parent[v] != kNoNode) {
+      parent[i] = index[static_cast<std::size_t>(tree.parent[v])];
+      parent_port[i] = tree.parent_port[v];
+    }
+  }
+  return TreeRouter(tree.root, std::move(members), std::move(parent),
+                    std::move(parent_port));
+}
+
+}  // namespace
+
+TreeRouter::TreeRouter(const OutTree& tree) : TreeRouter(from_out_tree(tree)) {}
+
+std::size_t TreeRouter::stored_slots() const {
+  return std::max({members_.size(), tables_.size(), parent_.size(),
+                   parent_port_.size(), heavy_child_.size()});
 }
 
 void TreeRouter::audit(AuditReport& report) const {
   auto scope = report.scope("tree");
-  const auto n = tables_.size();
+  const auto m = members_.size();
 
-  report.check("arrays-sized",
-               parent_.size() == n && parent_port_.size() == n &&
-                   heavy_child_.size() == n &&
-                   members_.size() == static_cast<std::size_t>(member_count_),
-               "per-node arrays and the member list must agree");
-  if (parent_.size() != n || parent_port_.size() != n ||
-      heavy_child_.size() != n ||
-      members_.size() != static_cast<std::size_t>(member_count_)) {
-    return;  // the walks below index these arrays per member
-  }
-  if (member_count_ == 0) {
+  const bool sized = tables_.size() == m && parent_.size() == m &&
+                     parent_port_.size() == m && heavy_child_.size() == m;
+  report.check("arrays-sized", sized,
+               "every per-member array must hold exactly member_count() "
+               "entries");
+  if (!sized) return;  // the walks below index these arrays per member
+  if (m == 0) {
     report.check("root-is-member", true, "empty tree");
     return;
   }
 
-  bool members_ok = contains(root_) &&
-                    parent_[static_cast<std::size_t>(root_)] == kNoNode;
+  const std::int32_t root_index = index_of(root_);
+  bool members_ok =
+      std::adjacent_find(members_.begin(), members_.end(),
+                         std::greater_equal<>{}) == members_.end() &&
+      root_index >= 0 && parent_[static_cast<std::size_t>(root_index)] == -1;
   std::string member_detail =
-      members_ok ? "" : "root missing or has a parent";
-  for (const NodeId v : members_) {
-    if (!members_ok) break;
-    if (!contains(v)) {
+      members_ok ? "" : "members unsorted, or root missing or has a parent";
+  for (std::size_t i = 0; members_ok && i < m; ++i) {
+    const std::int32_t p = parent_[i];
+    if (static_cast<std::int32_t>(i) != root_index &&
+        (p < 0 || static_cast<std::size_t>(p) >= m)) {
       members_ok = false;
-      member_detail = "listed member " + std::to_string(v) + " has no table";
-    } else if (v != root_) {
-      const NodeId p = parent_[static_cast<std::size_t>(v)];
-      if (p == kNoNode || !contains(p)) {
-        members_ok = false;
-        member_detail = "member " + std::to_string(v) +
-                        " has a missing or non-member parent";
-      }
+      member_detail = "member " + std::to_string(members_[i]) +
+                      " has a missing or non-member parent";
     }
   }
   report.check("root-is-member", members_ok, std::move(member_detail));
@@ -116,16 +173,16 @@ void TreeRouter::audit(AuditReport& report) const {
   // the member count has necessarily revisited a node.
   bool acyclic = true;
   std::string cycle_detail;
-  for (const NodeId v : members_) {
-    NodeId x = v;
-    NodeId steps = 0;
-    while (x != root_ && steps <= member_count_) {
+  for (std::size_t i = 0; i < m; ++i) {
+    auto x = static_cast<std::int32_t>(i);
+    std::size_t steps = 0;
+    while (x != root_index && steps <= m) {
       x = parent_[static_cast<std::size_t>(x)];
       ++steps;
     }
-    if (x != root_) {
+    if (x != root_index) {
       acyclic = false;
-      cycle_detail = "parent chain of member " + std::to_string(v) +
+      cycle_detail = "parent chain of member " + std::to_string(members_[i]) +
                      " does not reach the root (cycle)";
       break;
     }
@@ -134,13 +191,13 @@ void TreeRouter::audit(AuditReport& report) const {
 
   bool dfs_ok = true;
   std::string dfs_detail;
-  std::vector<bool> dfs_seen(static_cast<std::size_t>(member_count_), false);
-  for (const NodeId v : members_) {
-    const std::int32_t dfs = tables_[static_cast<std::size_t>(v)].dfs_in;
-    if (dfs < 0 || dfs >= member_count_ ||
+  std::vector<bool> dfs_seen(m, false);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::int32_t dfs = tables_[i].dfs_in;
+    if (dfs < 0 || static_cast<std::size_t>(dfs) >= m ||
         dfs_seen[static_cast<std::size_t>(dfs)]) {
       dfs_ok = false;
-      dfs_detail = "dfs number of member " + std::to_string(v) +
+      dfs_detail = "dfs number of member " + std::to_string(members_[i]) +
                    " out of range or duplicated";
       break;
     }
@@ -153,22 +210,23 @@ void TreeRouter::audit(AuditReport& report) const {
   // leaf condition tree_next_port uses to detect off-path packets).
   bool heavy_ok = true;
   std::string heavy_detail;
-  for (const NodeId v : members_) {
-    const NodeId h = heavy_child_[static_cast<std::size_t>(v)];
-    const Port hp = tables_[static_cast<std::size_t>(v)].heavy_port;
-    if (h == kNoNode) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::int32_t h = heavy_child_[i];
+    const Port hp = tables_[i].heavy_port;
+    if (h == -1) {
       if (hp != kNoPort) {
         heavy_ok = false;
-        heavy_detail = "member " + std::to_string(v) +
+        heavy_detail = "member " + std::to_string(members_[i]) +
                        " has a heavy port but no heavy child";
         break;
       }
       continue;
     }
-    if (!contains(h) || parent_[static_cast<std::size_t>(h)] != v ||
+    if (h < 0 || static_cast<std::size_t>(h) >= m ||
+        parent_[static_cast<std::size_t>(h)] != static_cast<std::int32_t>(i) ||
         hp != parent_port_[static_cast<std::size_t>(h)]) {
       heavy_ok = false;
-      heavy_detail = "heavy link of member " + std::to_string(v) +
+      heavy_detail = "heavy link of member " + std::to_string(members_[i]) +
                      " is not a child edge with the matching port";
       break;
     }
@@ -177,14 +235,14 @@ void TreeRouter::audit(AuditReport& report) const {
 
   if (acyclic) {
     std::int64_t max_hops = 0;
-    for (const NodeId v : members_) {
+    for (std::size_t i = 0; i < m; ++i) {
       max_hops = std::max(
-          max_hops, static_cast<std::int64_t>(label(v).light_hops.size()));
+          max_hops, static_cast<std::int64_t>(
+                        label_at(static_cast<std::int32_t>(i)).light_hops.size()));
     }
     const double budget =
         report.budgets().label_slack *
-        std::floor(std::log2(std::max<double>(2.0,
-                                              static_cast<double>(member_count_))));
+        std::floor(std::log2(std::max<double>(2.0, static_cast<double>(m))));
     report.measure("light-hops", static_cast<double>(max_hops), budget,
                    "longest light-hop list vs label_slack * floor(log2 |tree|)");
   }
@@ -231,32 +289,48 @@ TreeLabel load_tree_label(SnapshotReader& r) {
 
 void TreeRouter::save(SnapshotWriter& w) const {
   w.i32(root_);
-  w.i32(member_count_);
+  w.vec_i32(members_);
   w.vec(tables_, save_tree_node_table);
   w.vec_i32(parent_);
   w.vec_i32(parent_port_);
   w.vec_i32(heavy_child_);
-  w.vec_i32(members_);
 }
 
-TreeRouter::TreeRouter(SnapshotReader& r) {
-  root_ = r.i32();
-  member_count_ = r.i32();
-  tables_ = r.vec<TreeNodeTable>(load_tree_node_table, 8);
-  parent_ = r.vec_i32();
-  parent_port_ = r.vec_i32();
-  heavy_child_ = r.vec_i32();
-  members_ = r.vec_i32();
+TreeRouter::TreeRouter(SnapshotReader& r)
+    : root_(r.i32()),
+      members_(r.vec_i32()),
+      tables_(r.vec<TreeNodeTable>(load_tree_node_table, 8)),
+      parent_(r.vec_i32()),
+      parent_port_(r.vec_i32()),
+      heavy_child_(r.vec_i32()) {
+  // Every later access indexes these arrays by member index, so a layout
+  // that disagrees with itself is rejected here rather than misread.
+  const auto m = members_.size();
+  const auto in_range = [m](std::int32_t i) {
+    return i >= -1 && i < static_cast<std::int64_t>(m);
+  };
+  if (tables_.size() != m || parent_.size() != m || parent_port_.size() != m ||
+      heavy_child_.size() != m ||
+      !std::all_of(parent_.begin(), parent_.end(), in_range) ||
+      !std::all_of(heavy_child_.begin(), heavy_child_.end(), in_range)) {
+    throw SnapshotFormatError(
+        "snapshot: tree router arrays disagree with its member count");
+  }
 }
 
 TreeLabel TreeRouter::label(NodeId v) const {
-  if (!contains(v)) throw std::invalid_argument("TreeRouter::label: not a member");
+  const std::int32_t i = index_of(v);
+  if (i < 0) throw std::invalid_argument("TreeRouter::label: not a member");
+  return label_at(i);
+}
+
+TreeLabel TreeRouter::label_at(std::int32_t i) const {
   TreeLabel lab;
-  lab.dfs_in = tables_[static_cast<std::size_t>(v)].dfs_in;
+  lab.dfs_in = tables_[static_cast<std::size_t>(i)].dfs_in;
   // Walk v -> root collecting light edges, then reverse into root->v order.
-  NodeId x = v;
-  while (parent_[static_cast<std::size_t>(x)] != kNoNode) {
-    NodeId p = parent_[static_cast<std::size_t>(x)];
+  std::int32_t x = i;
+  while (parent_[static_cast<std::size_t>(x)] != -1) {
+    const std::int32_t p = parent_[static_cast<std::size_t>(x)];
     if (heavy_child_[static_cast<std::size_t>(p)] != x) {
       lab.light_hops.emplace_back(tables_[static_cast<std::size_t>(p)].dfs_in,
                                   parent_port_[static_cast<std::size_t>(x)]);

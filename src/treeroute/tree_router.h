@@ -16,6 +16,13 @@
 // port; otherwise take the heavy port.  Packets enter a tree only at its root
 // in all of our uses, so no off-path case arises (we still detect and reject
 // it defensively).
+//
+// Storage is per member, never per graph node: the router keeps its members
+// sorted ascending and every per-member array (tables, parents, ports, heavy
+// children) is indexed by a member's position in that list, so a tree of m
+// members costs O(m) words whatever the graph's size.  contains(), table()
+// and label() resolve a node id with one binary search; callers that walk a
+// tree repeatedly resolve once with index_of() and use the *_at accessors.
 #ifndef RTR_TREEROUTE_TREE_ROUTER_H
 #define RTR_TREEROUTE_TREE_ROUTER_H
 
@@ -147,8 +154,19 @@ struct TreeLabel {
 /// Lemma 14 requires (labels are computed from the tree, not stored).
 class TreeRouter {
  public:
-  /// Builds from a shortest-path out-tree; nodes unreachable in the tree
-  /// (dist == kInfDist) are not members.
+  /// An empty router (no members).
+  TreeRouter() = default;
+
+  /// Builds from a member-indexed out-tree: `members` sorted ascending and
+  /// unique, root among them, parent[i] the member index of members[i]'s
+  /// parent (-1 only at the root) and parent_port[i] the port at that parent
+  /// leading to members[i].  Throws std::invalid_argument when the parents
+  /// do not form one tree rooted at `root`.
+  TreeRouter(NodeId root, std::vector<NodeId> members,
+             std::vector<std::int32_t> parent, std::vector<Port> parent_port);
+
+  /// Builds from a node-indexed shortest-path out-tree; nodes unreachable in
+  /// the tree (dist == kInfDist) are not members.
   explicit TreeRouter(const OutTree& tree);
 
   /// Snapshot path: rehydrates a router saved with save().
@@ -156,38 +174,61 @@ class TreeRouter {
   void save(SnapshotWriter& w) const;
 
   [[nodiscard]] NodeId root() const { return root_; }
-  [[nodiscard]] bool contains(NodeId v) const {
-    return v >= 0 && static_cast<std::size_t>(v) < tables_.size() &&
-           tables_[static_cast<std::size_t>(v)].dfs_in >= 0;
+  [[nodiscard]] NodeId member_count() const {
+    return static_cast<NodeId>(members_.size());
   }
-  [[nodiscard]] NodeId member_count() const { return member_count_; }
+
+  /// Members, sorted ascending; index i of every per-member accessor is
+  /// members()[i].
+  [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }
+
+  /// v's member index, or -1 when v is not a member.
+  [[nodiscard]] std::int32_t index_of(NodeId v) const {
+    const auto it = std::lower_bound(members_.begin(), members_.end(), v);
+    return it != members_.end() && *it == v
+               ? static_cast<std::int32_t>(it - members_.begin())
+               : -1;
+  }
+  [[nodiscard]] bool contains(NodeId v) const { return index_of(v) >= 0; }
 
   /// The O(1)-word table node v stores.  Requires contains(v).
   [[nodiscard]] const TreeNodeTable& table(NodeId v) const {
-    return tables_[static_cast<std::size_t>(v)];
+    return table_at(index_of(v));
+  }
+  [[nodiscard]] const TreeNodeTable& table_at(std::int32_t i) const {
+    return tables_[static_cast<std::size_t>(i)];
   }
 
-  /// The address of v (root->v light edges).  Requires contains(v).
+  /// Member index of members()[i]'s parent (-1 at the root).
+  [[nodiscard]] std::int32_t parent_at(std::int32_t i) const {
+    return parent_[static_cast<std::size_t>(i)];
+  }
+
+  /// The address of v (root->v light edges).  Throws std::invalid_argument
+  /// when v is not a member.
   [[nodiscard]] TreeLabel label(NodeId v) const;
+  [[nodiscard]] TreeLabel label_at(std::int32_t i) const;
 
-  /// Members in no particular order.
-  [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }
+  /// Number of per-member slots actually stored: the longest per-member
+  /// array.  Equals member_count() for a sound router; the hierarchy audit
+  /// sums it to catch storage that outgrows the membership.
+  [[nodiscard]] std::size_t stored_slots() const;
 
-  /// Auditable: member bookkeeping, acyclic parent pointers reaching the
-  /// root, unique DFS numbers, heavy-child/heavy-port consistency, and the
-  /// Lemma 14 bound of at most label_slack * floor(log2 |tree|) light hops
-  /// on every member's address.
+  /// Auditable: every per-member array sized to member_count(), sorted
+  /// unique members, acyclic parent pointers reaching the root, unique DFS
+  /// numbers, heavy-child/heavy-port consistency, and the Lemma 14 bound of
+  /// at most label_slack * floor(log2 |tree|) light hops on every member's
+  /// address.
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditTestPeer;
   NodeId root_ = kNoNode;
-  NodeId member_count_ = 0;
-  std::vector<TreeNodeTable> tables_;
-  std::vector<NodeId> parent_;      // within-tree parent (for label walks)
-  std::vector<Port> parent_port_;   // port at parent toward this node
-  std::vector<NodeId> heavy_child_;
-  std::vector<NodeId> members_;
+  std::vector<NodeId> members_;             // sorted ascending
+  std::vector<TreeNodeTable> tables_;       // per member
+  std::vector<std::int32_t> parent_;        // member index; -1 at the root
+  std::vector<Port> parent_port_;           // port at parent toward member
+  std::vector<std::int32_t> heavy_child_;   // member index; -1 at leaves
 };
 
 /// Snapshot encoding of the O(1)-word table and the O(log^2 n)-bit label;

@@ -35,7 +35,8 @@ struct AuditTestPeer {
     return g.port_slot_;
   }
   static FlatVec<NodeName>& names(NameAssignment& a) { return a.name_of_; }
-  static std::vector<NodeId>& parents(TreeRouter& t) { return t.parent_; }
+  /// Member-indexed: entry i is the member index of members()[i]'s parent.
+  static std::vector<std::int32_t>& parents(TreeRouter& t) { return t.parent_; }
   static BallSystem& balls(Rtz3Scheme& s) { return s.balls_; }
   static FlatVec<std::int64_t>& ball_off(Rtz3Scheme& s) { return s.ball_off_; }
   static FlatVec<NodeName>& ball_keys(Rtz3Scheme& s) { return s.ball_key_; }
@@ -198,7 +199,8 @@ TEST(AuditCorruption, CyclicTreeParentFires) {
   const NodeId victim = router.members().back() != router.root()
                             ? router.members().back()
                             : router.members().front();
-  parents[static_cast<std::size_t>(victim)] = victim;
+  const std::int32_t slot = router.index_of(victim);
+  parents[static_cast<std::size_t>(slot)] = slot;
   AuditReport report;
   router.audit(report);
   expect_fired(report, "tree", "parents-acyclic");

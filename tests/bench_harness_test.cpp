@@ -488,7 +488,7 @@ TEST(BenchHarness, IterationControllerHonorsRepBounds) {
   const TimedPhase capped = run_timed(policy, [&] {
     ++calls;
     volatile int spin = 0;
-    for (int i = 0; i < 10000; ++i) spin += i;
+    for (int i = 0; i < 10000; ++i) spin = spin + i;
   });
   EXPECT_LE(capped.reps, 6);
   EXPECT_GE(capped.reps, 3);
@@ -499,7 +499,9 @@ TEST(BenchHarness, IterationControllerHonorsRepBounds) {
 TEST(BenchHarness, RssReadingWorksOnLinux) {
   const std::int64_t rss = current_rss_kb();
   // Procfs present (Linux CI): a live process has a positive RSS.
-  if (rss >= 0) EXPECT_GT(rss, 0);
+  if (rss >= 0) {
+    EXPECT_GT(rss, 0);
+  }
 }
 
 }  // namespace

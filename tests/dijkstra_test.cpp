@@ -299,6 +299,61 @@ TEST(Dijkstra, WorkspaceTreesMatchTheSeedTreeShapes) {
   }
 }
 
+// The member-indexed restricted runs must equal whole-graph runs on the
+// explicitly induced subgraph (same node ids, member-to-member arcs with
+// their ports, row order kept), member by member -- parents and ports
+// included, since routers and up ports are built from them.  One workspace
+// serves every run, so a stale member slot would show.
+TEST(Dijkstra, MemberTreesMatchTreesOfTheInducedSubgraph) {
+  DijkstraWorkspace ws;
+  MemberTree out;
+  MemberTree in;
+  for (const Family family : all_families()) {
+    Rng rng(29 + static_cast<std::uint64_t>(family));
+    GraphBuilder b = make_family(family, 72, 9, rng);
+    b.assign_adversarial_ports(rng);
+    const Digraph g = b.freeze();
+    const Digraph rev = g.reversed();
+    const NodeId n = g.node_count();
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto root = static_cast<NodeId>(rng.index(n));
+      std::vector<NodeId> members;
+      for (NodeId v = 0; v < n; ++v) {
+        if (v == root || rng.index(4) != 0) members.push_back(v);
+      }
+      GraphBuilder induced(n);
+      for (const NodeId u : members) {
+        std::vector<Edge> kept;
+        for (const Edge& e : g.out_edges(u)) {
+          if (std::binary_search(members.begin(), members.end(), e.to)) {
+            kept.push_back(e);
+          }
+        }
+        induced.add_edges_with_ports(u, kept);
+      }
+      const Digraph h = induced.freeze();
+      const OutTree want_out = dijkstra_out_tree(h, root);
+      const InTree want_in = dijkstra_in_tree(h, h.reversed(), root);
+      dijkstra_out_tree_members(g, root, members, ws, out);
+      dijkstra_in_tree_members(g, rev, root, members, ws, in);
+      ASSERT_EQ(out.dist.size(), members.size());
+      ASSERT_EQ(in.dist.size(), members.size());
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const auto v = static_cast<std::size_t>(members[i]);
+        const auto node = [&](std::int32_t link) {
+          return link < 0 ? kNoNode : members[static_cast<std::size_t>(link)];
+        };
+        ASSERT_EQ(out.dist[i], want_out.dist[v]) << family_name(family);
+        ASSERT_EQ(node(out.link[i]), want_out.parent[v]) << family_name(family);
+        ASSERT_EQ(out.port[i], want_out.parent_port[v]) << family_name(family);
+        ASSERT_EQ(in.dist[i], want_in.dist[v]) << family_name(family);
+        ASSERT_EQ(node(in.link[i]), want_in.next[v]) << family_name(family);
+        ASSERT_EQ(in.port[i], want_in.next_port[v]) << family_name(family);
+      }
+    }
+  }
+}
+
 TEST(Apsp, MatchesFloydWarshallOnRandomGraphs) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed);

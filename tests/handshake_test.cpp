@@ -66,9 +66,8 @@ TEST_F(HandshakeTest, R2SelectsLowestWorkingLevel) {
       // No lower level has any tree containing both.
       for (std::int32_t lower = 0; lower < r2.tree.level; ++lower) {
         const HierarchyLevel& lvl = hierarchy_->level(lower);
-        for (std::int32_t t :
-             lvl.trees_of[static_cast<std::size_t>(u)]) {
-          EXPECT_FALSE(lvl.trees[static_cast<std::size_t>(t)].contains(v));
+        for (const TreeMembership& m : lvl.trees_of(u)) {
+          EXPECT_FALSE(lvl.trees[static_cast<std::size_t>(m.tree)].contains(v));
         }
       }
     }

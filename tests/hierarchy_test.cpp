@@ -70,9 +70,7 @@ TEST_P(HierarchyTest, Theorem13Property3_MembershipBound) {
   for (std::int32_t i = 0; i < hierarchy_->level_count(); ++i) {
     const HierarchyLevel& lvl = hierarchy_->level(i);
     for (NodeId v = 0; v < inst_.n(); ++v) {
-      EXPECT_LE(
-          static_cast<double>(lvl.trees_of[static_cast<std::size_t>(v)].size()),
-          bound);
+      EXPECT_LE(static_cast<double>(lvl.trees_of(v).size()), bound);
     }
   }
 }

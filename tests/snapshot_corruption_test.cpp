@@ -4,11 +4,15 @@
 // persistence layer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <vector>
 
+#include "io/arena.h"
 #include "io/snapshot.h"
+#include "io/snapshot_format.h"
 #include "net/scheme.h"
 #include "test_support.h"
 
@@ -167,6 +171,54 @@ TEST_F(SnapshotCorruptionTest, BuildOrLoadRecoversFromACorruptCache) {
   auto res = handle.roundtrip(1, 5);
   EXPECT_TRUE(res.ok());
 }
+
+// The cover-hierarchy schemes nest a v1 blob whose hierarchy encoding opens
+// with a layout tag.  A blob from before the member-indexed layout carried
+// k (a small i32) at that offset; such a file must be refused with a typed
+// format error on both load paths, never decoded as the new layout.
+class HierarchyLayoutTagTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(HierarchyLayoutTagTest, PreMemberIndexedBlobIsAFormatError) {
+  const std::string scheme = GetParam();
+  const auto inst = shared_instance(Family::kRandom, 32, 3, 7);
+  const BuildContext ctx = inst->context(9);
+  const SchemeHandle built(ctx.graph, ctx.names,
+                           SchemeRegistry::global().build(scheme, ctx));
+  SnapshotWriter blob;
+  SchemeRegistry::global().saver(scheme)(built.scheme(), blob);
+  std::vector<std::uint8_t> bytes = blob.bytes();
+  // The tag is "MCH2" little-endian.  Names and alphabet precede it; at
+  // n = 32 every byte they write is below 0x40, so the first match is the
+  // tag.
+  const std::array<std::uint8_t, 4> tag = {'M', 'C', 'H', '2'};
+  const auto at = std::search(bytes.begin(), bytes.end(), tag.begin(), tag.end());
+  ASSERT_NE(at, bytes.end()) << "hierarchy layout tag not found in the blob";
+  std::fill(at, at + 4, std::uint8_t{0});
+  *at = 3;  // what the old layout wrote here: k = 3 as an i32
+
+  ArenaWriter w;
+  built.graph().save_arena(w);
+  built.names().save_arena(w);
+  w.add_bytes("scheme/blob", bytes.data(), bytes.size());
+  const std::string path = ::testing::TempDir() + "rtr_layout_tag_" + scheme +
+                           ".rtrsnap";
+  write_file(path, w.finalize(scheme, built.graph().node_count(),
+                              built.graph().edge_count()));
+  for (const bool mapped : {false, true}) {
+    try {
+      (void)(mapped ? map_snapshot(path, scheme) : load_snapshot(path, scheme));
+      ADD_FAILURE() << "old-layout blob decoded (mapped=" << mapped << ")";
+    } catch (const SnapshotFormatError& e) {
+      // Refused at the tag, not by a later misaligned read.
+      EXPECT_NE(std::string(e.what()).find("layout tag"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(CoverSchemes, HierarchyLayoutTagTest,
+                         ::testing::Values("exstretch", "polystretch"));
 
 }  // namespace
 }  // namespace rtr

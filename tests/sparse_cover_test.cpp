@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
+#include <tuple>
 
 #include "cover/sparse_cover.h"
 #include "graph/scc.h"
@@ -94,6 +97,56 @@ INSTANTIATE_TEST_SUITE_P(
       return family_name(info.param.family).substr(0, 4) + "_n" +
              std::to_string(info.param.n) + "_k" + std::to_string(info.param.k) +
              "_s" + std::to_string(info.param.seed);
+    });
+
+// Differential check against the seed's erase-based PartialCover: the
+// lazily skipping library cover must agree field for field.  The cover
+// depends on the radius only through the balls, which change only at
+// roundtrip-distance values, so sweeping every distinct value up to the
+// diameter (plus 0) covers every radius.
+class SparseCoverOracleTest
+    : public ::testing::TestWithParam<std::tuple<Family, NodeId, int>> {};
+
+TEST_P(SparseCoverOracleTest, MatchesEraseBasedReferenceAtEveryRadius) {
+  const auto [family, n, k] = GetParam();
+  const auto inst = ::rtr::testing::shared_instance(family, n, 6, 17);
+  const RoundtripMetric& metric = *inst->metric;
+  std::set<Dist> radii{0};
+  for (NodeId u = 0; u < inst->n(); ++u) {
+    for (NodeId v = 0; v < inst->n(); ++v) radii.insert(metric.r(u, v));
+  }
+  for (const Dist d : radii) {
+    const SparseCoverResult got = build_sparse_cover(metric, k, d);
+    const SparseCoverResult want =
+        ::rtr::testing::sparse_cover_reference(metric, k, d);
+    ASSERT_EQ(got.d, want.d);
+    ASSERT_EQ(got.k, want.k);
+    ASSERT_EQ(got.rounds, want.rounds) << "d=" << d;
+    ASSERT_EQ(got.home_of, want.home_of) << "d=" << d;
+    ASSERT_EQ(got.clusters.size(), want.clusters.size()) << "d=" << d;
+    for (std::size_t c = 0; c < got.clusters.size(); ++c) {
+      ASSERT_EQ(got.clusters[c].center, want.clusters[c].center)
+          << "d=" << d << " cluster " << c;
+      ASSERT_EQ(got.clusters[c].members, want.clusters[c].members)
+          << "d=" << d << " cluster " << c;
+      ASSERT_EQ(got.clusters[c].absorbed, want.clusters[c].absorbed)
+          << "d=" << d << " cluster " << c;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, SparseCoverOracleTest,
+    ::testing::Combine(::testing::Values(Family::kRandom, Family::kGrid,
+                                         Family::kRing, Family::kScaleFree),
+                       ::testing::Values(16, 64, 256), ::testing::Values(2, 3)),
+    [](const auto& info) {
+      std::string name = family_name(std::get<0>(info.param)).substr(0, 4);
+      for (auto& c : name) {
+        if (c == '-' || c == '+') c = '_';
+      }
+      return name + "_n" + std::to_string(std::get<1>(info.param)) + "_k" +
+             std::to_string(std::get<2>(info.param));
     });
 
 TEST(SparseCover, TinyRadiusYieldsSingletonishClusters) {

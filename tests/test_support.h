@@ -2,17 +2,21 @@
 #ifndef RTR_TESTS_TEST_SUPPORT_H
 #define RTR_TESTS_TEST_SUPPORT_H
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/names.h"
+#include "cover/sparse_cover.h"
 #include "graph/apsp.h"
 #include "graph/digraph.h"
 #include "graph/generators.h"
@@ -59,6 +63,165 @@ inline DistMatrix reference_apsp(const Digraph& g) {
     std::copy(row.begin(), row.end(), m.row(src).begin());
   }
   return m;
+}
+
+/// The seed PartialCover (paper Fig. 7): unhooks every cluster of Z from
+/// the node -> clusters lists with erase(remove(...)), quadratic once balls
+/// span the graph.  Kept as the differential oracle the library's lazily
+/// skipping partial_cover is tested bit-identical against.
+inline PartialCoverResult partial_cover_reference(
+    const std::vector<SeedCluster>& r_clusters, const std::vector<char>& active,
+    NodeId n, int k) {
+  if (k <= 1) throw std::invalid_argument("partial_cover_reference: k > 1 required");
+  for (const SeedCluster& c : r_clusters) {
+    for (NodeId v : c.members) {
+      if (v < 0 || v >= n) {
+        throw std::invalid_argument("partial_cover_reference: member out of [0, n)");
+      }
+    }
+  }
+  PartialCoverResult result;
+  const auto cluster_count = static_cast<std::int32_t>(r_clusters.size());
+
+  std::vector<char> is_active(active.begin(), active.end());
+  std::int64_t active_count = std::count(is_active.begin(), is_active.end(), char{1});
+  if (active_count == 0) return result;
+
+  // The growth threshold |R|^{1/k}: |R| is the size of the collection this
+  // invocation received (the active set).
+  const double r_pow = std::pow(static_cast<double>(active_count), 1.0 / k);
+
+  // node -> active clusters containing it (for incremental intersection).
+  std::vector<std::vector<std::int32_t>> clusters_at(static_cast<std::size_t>(n));
+  for (std::int32_t c = 0; c < cluster_count; ++c) {
+    if (!is_active[static_cast<std::size_t>(c)]) continue;
+    for (NodeId v : r_clusters[static_cast<std::size_t>(c)].members) {
+      clusters_at[static_cast<std::size_t>(v)].push_back(c);
+    }
+  }
+
+  std::vector<char> node_in_z(static_cast<std::size_t>(n), 0);
+  std::vector<char> cluster_in_z(static_cast<std::size_t>(cluster_count), 0);
+
+  std::int32_t next_seed_scan = 0;
+  while (true) {
+    // Select the lowest-index active cluster as S_0 (deterministic stand-in
+    // for the paper's "arbitrary").
+    while (next_seed_scan < cluster_count &&
+           !is_active[static_cast<std::size_t>(next_seed_scan)]) {
+      ++next_seed_scan;
+    }
+    if (next_seed_scan >= cluster_count) break;
+    const std::int32_t s0 = next_seed_scan;
+
+    // Z as cluster-index list + node set, grown incrementally.  `frontier`
+    // holds nodes whose cluster lists have not been scanned yet.
+    std::vector<std::int32_t> z_clusters{s0};
+    cluster_in_z[static_cast<std::size_t>(s0)] = 1;
+    std::vector<NodeId> z_nodes;
+    std::vector<NodeId> frontier;
+    for (NodeId v : r_clusters[static_cast<std::size_t>(s0)].members) {
+      if (!node_in_z[static_cast<std::size_t>(v)]) {
+        node_in_z[static_cast<std::size_t>(v)] = 1;
+        z_nodes.push_back(v);
+        frontier.push_back(v);
+      }
+    }
+
+    std::size_t y_cluster_count = 0;  // |Y| after "Y <- Z"
+    std::size_t y_node_count = 0;
+    while (true) {
+      // Y <- Z (record counts; the vertex set Y is z_nodes[0..y_node_count)).
+      y_cluster_count = z_clusters.size();
+      y_node_count = z_nodes.size();
+      // Z <- clusters intersecting Y; grow node set accordingly.
+      std::vector<NodeId> new_frontier;
+      for (NodeId v : frontier) {
+        for (std::int32_t c : clusters_at[static_cast<std::size_t>(v)]) {
+          if (cluster_in_z[static_cast<std::size_t>(c)]) continue;
+          cluster_in_z[static_cast<std::size_t>(c)] = 1;
+          z_clusters.push_back(c);
+          for (NodeId w : r_clusters[static_cast<std::size_t>(c)].members) {
+            if (!node_in_z[static_cast<std::size_t>(w)]) {
+              node_in_z[static_cast<std::size_t>(w)] = 1;
+              z_nodes.push_back(w);
+              new_frontier.push_back(w);
+            }
+          }
+        }
+      }
+      frontier = std::move(new_frontier);
+      if (static_cast<double>(z_clusters.size()) <=
+          r_pow * static_cast<double>(y_cluster_count)) {
+        break;
+      }
+    }
+
+    // Emit Y = first y_cluster_count clusters of Z merged together.
+    MergedCluster merged;
+    merged.center = r_clusters[static_cast<std::size_t>(s0)].seed;
+    merged.members.assign(z_nodes.begin(),
+                          z_nodes.begin() + static_cast<std::ptrdiff_t>(y_node_count));
+    std::sort(merged.members.begin(), merged.members.end());
+    merged.absorbed.assign(
+        z_clusters.begin(),
+        z_clusters.begin() + static_cast<std::ptrdiff_t>(y_cluster_count));
+    for (std::int32_t c : merged.absorbed) result.covered.push_back(c);
+    for (std::size_t i = y_cluster_count; i < z_clusters.size(); ++i) {
+      result.consumed.push_back(z_clusters[i]);
+    }
+    result.merged.push_back(std::move(merged));
+
+    // U <- U \ Z: deactivate every cluster of Z and unhook its nodes.
+    for (std::int32_t c : z_clusters) {
+      is_active[static_cast<std::size_t>(c)] = 0;
+      for (NodeId v : r_clusters[static_cast<std::size_t>(c)].members) {
+        auto& list = clusters_at[static_cast<std::size_t>(v)];
+        list.erase(std::remove(list.begin(), list.end(), c), list.end());
+      }
+    }
+    // Reset the node markers touched by this batch.
+    for (NodeId v : z_nodes) node_in_z[static_cast<std::size_t>(v)] = 0;
+  }
+  return result;
+}
+
+/// Cover (paper Fig. 8) over partial_cover_reference: the oracle for
+/// build_sparse_cover, field for field.
+inline SparseCoverResult sparse_cover_reference(const RoundtripMetric& metric,
+                                                int k, Dist d) {
+  const NodeId n = metric.node_count();
+  SparseCoverResult result;
+  result.d = d;
+  result.k = k;
+  result.home_of.assign(static_cast<std::size_t>(n), -1);
+  std::vector<SeedCluster> seeds(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    seeds[static_cast<std::size_t>(v)].seed = v;
+    seeds[static_cast<std::size_t>(v)].members = metric.ball(v, d);
+  }
+  std::vector<char> active(static_cast<std::size_t>(n), 1);
+  std::int64_t remaining = n;
+  while (remaining > 0) {
+    ++result.rounds;
+    PartialCoverResult pass = partial_cover_reference(seeds, active, n, k);
+    if (pass.covered.empty()) {
+      throw std::logic_error("sparse_cover_reference: round made no progress");
+    }
+    const auto base = static_cast<std::int32_t>(result.clusters.size());
+    for (std::size_t i = 0; i < pass.merged.size(); ++i) {
+      for (std::int32_t seed_idx : pass.merged[i].absorbed) {
+        result.home_of[static_cast<std::size_t>(seed_idx)] =
+            base + static_cast<std::int32_t>(i);
+      }
+      result.clusters.push_back(std::move(pass.merged[i]));
+    }
+    for (std::int32_t c : pass.covered) {
+      active[static_cast<std::size_t>(c)] = 0;
+      --remaining;
+    }
+  }
+  return result;
 }
 
 /// A generated test instance: graph + adversarial names/ports + metric.
