@@ -297,98 +297,15 @@ CellResult run_cell(const Instance& inst, const std::string& scheme_name,
       const auto t1 = Clock::now();
       SchemeHandle mapped = map_snapshot(path.string(), scheme_name);
       cell.snapshot_map_ms = ms_since(t1);
-    } catch (const std::exception&) {
-      // Phase skipped; the cell still stands.  Whichever of the two columns
-      // was not reached keeps its -1 sentinel, which the gates never compare.
+    } catch (const std::exception& e) {
+      // The cell's other phases still stand; the gate fails the cell on the
+      // recorded error instead of skipping a sentinel.
+      cell.snapshot_error = e.what();
     }
     std::error_code ec;
     fs::remove(path, ec);
   }
   return cell;
-}
-
-// ------------------------------------------------- hot-path delta measures --
-
-IterationPolicy delta_policy() {
-  IterationPolicy policy;
-  policy.warmup_reps = 1;
-  policy.min_reps = 2;
-  policy.max_reps = 3;
-  policy.min_rep_ms = 25;
-  return policy;
-}
-
-/// Before/after for snapshot warm-start: the v1 streamed deserialization
-/// (decode every table into owning buffers, full payload CRC) vs the v2
-/// arena mmap load-in-place (open + header/directory check + offset fixup;
-/// tables are served straight off the mapping).  Both files freeze the SAME
-/// built stretch6 scheme, and both loaded handles are asserted to answer an
-/// identical query sample, so the delta measures the load path alone.  The
-/// gap is the tentpole claim -- O(tables) decode vs O(ms) at any n -- so the
-/// caller hands in the big (n >= 4096) instance where the decode cost shows.
-HotPathDelta measure_snapshot_map_delta(const Instance& inst, Family family,
-                                        std::uint64_t seed) {
-  namespace fs = std::filesystem;
-  BuildContext ctx =
-      BuildContext::wrap(inst.graph, inst.metric, inst.names, seed);
-  auto scheme = SchemeRegistry::global().build("stretch6", ctx);
-  SchemeHandle built(inst.graph, inst.names, scheme);
-  const fs::path dir = fs::temp_directory_path();
-  const std::string v1_path = (dir / "rtr_bench_mapdelta_v1.rtrsnap").string();
-  const std::string v2_path = (dir / "rtr_bench_mapdelta_v2.rtrsnap").string();
-  save_snapshot(v1_path, "stretch6", built, SchemeRegistry::global(),
-                kSnapshotVersionV1);
-  save_snapshot(v2_path, "stretch6", built, SchemeRegistry::global(),
-                kSnapshotVersionV2);
-
-  const auto run_v1_load = [&] {
-    SchemeHandle loaded = load_snapshot(v1_path, "stretch6");
-    volatile NodeId sink = loaded.graph().node_count();
-    (void)sink;
-  };
-  const auto run_v2_map = [&] {
-    SchemeHandle mapped = map_snapshot(v2_path, "stretch6");
-    volatile NodeId sink = mapped.graph().node_count();
-    (void)sink;
-  };
-
-  HotPathDelta d;
-  d.name = "snapshot-arena-map";
-  d.metric = "snapshot_load_ms";
-  d.scheme = "stretch6";
-  d.family = family_name(family);
-  d.n = inst.graph->node_count();
-  d.before = run_timed(delta_policy(), run_v1_load).best_ms;
-  d.after = run_timed(delta_policy(), run_v2_map).best_ms;
-
-  // Route-for-route equivalence of the two load paths on a query sample; a
-  // divergence invalidates the measurement (and the format).
-  {
-    SchemeHandle v1_handle = load_snapshot(v1_path, "stretch6");
-    SchemeHandle v2_handle = map_snapshot(v2_path, "stretch6");
-    QueryEngineOptions opts;
-    opts.threads = 1;
-    const auto pairs =
-        QueryEngine::sample_pairs(inst.graph->node_count(), 512, seed + 1);
-    QueryEngine v1_engine(v1_handle.graph_ptr(), inst.metric, v1_handle.names(),
-                          v1_handle.scheme_ptr(), opts);
-    QueryEngine v2_engine(v2_handle.graph_ptr(), inst.metric, v2_handle.names(),
-                          v2_handle.scheme_ptr(), opts);
-    const StretchReport v1_rep = v1_engine.run_batch(pairs);
-    const StretchReport v2_rep = v2_engine.run_batch(pairs);
-    if (v1_rep.mean_stretch != v2_rep.mean_stretch ||
-        v1_rep.failures != v2_rep.failures ||
-        v1_rep.max_header_bits != v2_rep.max_header_bits) {
-      throw std::logic_error(
-          "bench_harness: mapped v2 snapshot diverged from the v1 load");
-    }
-  }
-  std::error_code ec;
-  fs::remove(v1_path, ec);
-  fs::remove(v2_path, ec);
-  d.improvement_pct =
-      d.before > 0 ? 100.0 * (d.before - d.after) / d.before : 0;
-  return d;
 }
 
 // ------------------------------------------------------- net serving cell --
@@ -476,18 +393,6 @@ CellResult run_net_serving_cell(const BenchConfig& config,
 SuiteResult run_suite(const BenchConfig& config, std::ostream* progress) {
   SuiteResult result;
   const std::vector<std::string> schemes = resolve_schemes(config);
-  const NodeId delta_n =
-      config.sizes.empty()
-          ? 0
-          : *std::max_element(config.sizes.begin(), config.sizes.end());
-  const Family delta_family =
-      config.families.empty() ? Family::kRandom : config.families.front();
-  // The delta phase reuses the sweep's (front family, largest n) instance --
-  // the costliest APSP of the run -- instead of rebuilding it (same seed
-  // formula, so the reuse is exact).  Instance holds shared_ptrs, so keeping
-  // the copy alive is cheap.
-  Instance delta_inst;
-  bool have_delta_inst = false;
   for (const Family family : config.families) {
     for (const NodeId n : config.sizes) {
       const Instance inst = build_instance(
@@ -495,10 +400,6 @@ SuiteResult run_suite(const BenchConfig& config, std::ostream* progress) {
           config.seed + static_cast<std::uint64_t>(n) * 31 +
               static_cast<std::uint64_t>(family),
           config.metric_mode, config.threads);
-      if (family == delta_family && n == delta_n && !have_delta_inst) {
-        delta_inst = inst;
-        have_delta_inst = true;
-      }
       for (const std::string& scheme : schemes) {
         CellResult cell = run_cell(inst, scheme, family, n, config);
         if (progress != nullptr) {
@@ -527,29 +428,6 @@ SuiteResult run_suite(const BenchConfig& config, std::ostream* progress) {
                 << "\n";
     }
     result.cells.push_back(std::move(cell));
-  }
-  if (config.hot_path_deltas && have_delta_inst) {
-    // The map delta is O(tables) decode vs O(ms) mapping, so small n would
-    // understate (or noise out) the gap: measure it on an instance of at
-    // least 4096 nodes (the sweep's largest when it is already that big).
-    const NodeId n = delta_n;
-    const Family family = delta_family;
-    const NodeId map_n = std::max<NodeId>(n, 4096);
-    const Instance map_inst =
-        map_n == n ? delta_inst
-                   : build_instance(family, map_n, config.max_weight,
-                                    config.seed + static_cast<std::uint64_t>(map_n),
-                                    config.metric_mode, config.threads);
-    result.deltas.push_back(
-        measure_snapshot_map_delta(map_inst, family, config.seed));
-    if (progress != nullptr) {
-      for (const auto& d : result.deltas) {
-        *progress << "delta " << d.name << (d.scheme.empty() ? "" : " " + d.scheme)
-                  << " n=" << d.n << " before=" << d.before
-                  << " after=" << d.after << " (" << d.improvement_pct
-                  << "% better)\n";
-      }
-    }
   }
   return result;
 }
@@ -584,6 +462,7 @@ Json cell_to_json(const CellResult& c) {
   j.set("table_entries_max", c.table_entries_max);
   j.set("bytes_per_node", c.bytes_per_node);
   j.set("first_error", c.first_error);
+  j.set("snapshot_error", c.snapshot_error);
   return j;
 }
 
@@ -621,36 +500,13 @@ CellResult cell_from_json(const Json& j) {
   c.table_entries_max = j.at("table_entries_max").as_int();
   c.bytes_per_node = j.at("bytes_per_node").as_double();
   c.first_error = j.at("first_error").as_string();
+  // Tolerant read: documents from before the column carry no error.
+  c.snapshot_error =
+      j.has("snapshot_error") ? j.at("snapshot_error").as_string() : "";
   return c;
 }
 
 namespace {
-
-Json delta_to_json(const HotPathDelta& d) {
-  Json j{JsonObject{}};
-  j.set("name", d.name);
-  j.set("metric", d.metric);
-  j.set("scheme", d.scheme);
-  j.set("family", d.family);
-  j.set("n", static_cast<std::int64_t>(d.n));
-  j.set("before", d.before);
-  j.set("after", d.after);
-  j.set("improvement_pct", d.improvement_pct);
-  return j;
-}
-
-HotPathDelta delta_from_json(const Json& j) {
-  HotPathDelta d;
-  d.name = j.at("name").as_string();
-  d.metric = j.at("metric").as_string();
-  d.scheme = j.at("scheme").as_string();
-  d.family = j.at("family").as_string();
-  d.n = static_cast<NodeId>(j.at("n").as_int());
-  d.before = j.at("before").as_double();
-  d.after = j.at("after").as_double();
-  d.improvement_pct = j.at("improvement_pct").as_double();
-  return d;
-}
 
 void check_schema(const Json& doc) {
   if (!doc.is_object() || !doc.has("schema") ||
@@ -707,11 +563,6 @@ Json suite_to_json(const SuiteResult& result, const BenchConfig& config,
   JsonArray cells;
   for (const CellResult& c : result.cells) cells.push_back(cell_to_json(c));
   doc.set("cells", std::move(cells));
-  JsonArray deltas;
-  for (const HotPathDelta& d : result.deltas) {
-    deltas.push_back(delta_to_json(d));
-  }
-  doc.set("hot_path_deltas", std::move(deltas));
   return doc;
 }
 #if defined(__GNUC__) && !defined(__clang__)
@@ -723,16 +574,6 @@ std::vector<CellResult> cells_from_json(const Json& doc) {
   std::vector<CellResult> out;
   for (const Json& j : doc.at("cells").as_array()) {
     out.push_back(cell_from_json(j));
-  }
-  return out;
-}
-
-std::vector<HotPathDelta> deltas_from_json(const Json& doc) {
-  check_schema(doc);
-  std::vector<HotPathDelta> out;
-  if (!doc.has("hot_path_deltas")) return out;
-  for (const Json& j : doc.at("hot_path_deltas").as_array()) {
-    out.push_back(delta_from_json(j));
   }
   return out;
 }
@@ -969,6 +810,10 @@ std::vector<std::string> compare_to_baseline(const Json& baseline,
       violations.push_back(key(b) + ": " + std::to_string(c.failures) +
                            " failed queries (" + c.first_error + ")");
     }
+    if (!c.snapshot_error.empty()) {
+      violations.push_back(key(b) + ": snapshot phase failed (" +
+                           c.snapshot_error + ")");
+    }
     // net_serving qps is a single socket-to-socket pass with an epoch swap
     // deliberately landing mid-run (no best-of reps to steady it), so its
     // throughput is not gateable; the cell's contract is the failures ==
@@ -1021,16 +866,6 @@ std::vector<std::string> compare_to_baseline(const Json& baseline,
     // repair must not regress, and neither may the full rebuild it replaces.
     check_phase("repair_ms", b.repair_ms, c.repair_ms);
     check_phase("full_rebuild_ms", b.full_rebuild_ms, c.full_rebuild_ms);
-  }
-  for (const HotPathDelta& d : deltas_from_json(current)) {
-    if (d.improvement_pct < options.delta_floor_pct) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "hot-path delta %s: %.1f%% improvement is below the "
-                    "%.1f%% floor",
-                    d.name.c_str(), d.improvement_pct, options.delta_floor_pct);
-      violations.emplace_back(buf);
-    }
   }
   return violations;
 }

@@ -102,7 +102,6 @@ struct BenchConfig {
   /// rows beyond, which is what lets the full sweep pass 4096.
   MetricMode metric_mode = MetricMode::kAuto;
   bool snapshot_phase = true;   ///< measure snapshot save+load per cell
-  bool hot_path_deltas = true;  ///< record the in-binary before/after deltas
   /// Measure the network serving path end to end: RouteServer (the
   /// rtr_routed core) over an EpochManager, driven by the loadgen across
   /// loopback TCP while one epoch swap publishes mid-run.  Emits one cell
@@ -129,11 +128,15 @@ struct CellResult {
   double apsp_ms = 0;            ///< metric/APSP build, shared per instance
   double build_ms = 0;           ///< scheme construction
   double snapshot_load_ms = -1;  ///< rebuild-from-snapshot; -1 when skipped
-  /// Zero-copy mmap of the same v2 snapshot (open + header/directory check +
-  /// view fixup); -1 when the phase is skipped or mapping failed.  The
-  /// -1 sentinels are NEVER compared by the gates -- see compare_to_baseline
-  /// and check_growth_budgets, which skip negative phase values explicitly.
+  /// Zero-copy mmap of the same snapshot (open + header/directory check +
+  /// view fixup); -1 when the phase is skipped.  The -1 sentinels are NEVER
+  /// compared by the gates -- see compare_to_baseline and
+  /// check_growth_budgets, which skip negative phase values explicitly.
   double snapshot_map_ms = -1;
+  /// Why the snapshot phase failed (save, load or map threw); empty when it
+  /// succeeded or was skipped.  A failure is a defect, not a skipped phase:
+  /// compare_to_baseline fails any cell that sets it.
+  std::string snapshot_error;
   /// Incremental epoch repair of a small (~1%) port-stable churn delta, and
   /// the pinned-seed full rebuild the same delta would otherwise cost.  -1
   /// when the cell did not run the repair phase (same sentinel rule as the
@@ -164,22 +167,8 @@ struct CellResult {
   std::string first_error;
 };
 
-/// One recorded hot-path before/after measurement: both implementations live
-/// in this binary, so the delta is re-measured (not transcribed) every run.
-struct HotPathDelta {
-  std::string name;    ///< e.g. "snapshot-arena-map"
-  std::string metric;  ///< e.g. "snapshot_load_ms" (lower better) or "qps"
-  std::string scheme;  ///< "" when scheme-independent
-  std::string family;
-  NodeId n = 0;
-  double before = 0;
-  double after = 0;
-  double improvement_pct = 0;  ///< positive = after is better
-};
-
 struct SuiteResult {
   std::vector<CellResult> cells;
-  std::vector<HotPathDelta> deltas;
 };
 
 /// Runs the sweep.  `progress` (optional) gets one line per cell.
@@ -188,14 +177,13 @@ struct SuiteResult {
 
 // ------------------------------------------------------------------- json --
 
-/// The full document: schema tag, rev, config echo, cells, deltas.
+/// The full document: schema tag, rev, config echo, host, cells.
 [[nodiscard]] Json suite_to_json(const SuiteResult& result,
                                             const BenchConfig& config,
                                             const std::string& rev);
 
-/// Cells/deltas parsed back from a document (schema-checked).
+/// Cells parsed back from a document (schema-checked).
 [[nodiscard]] std::vector<CellResult> cells_from_json(const Json& doc);
-[[nodiscard]] std::vector<HotPathDelta> deltas_from_json(const Json& doc);
 
 [[nodiscard]] Json cell_to_json(const CellResult& cell);
 [[nodiscard]] CellResult cell_from_json(const Json& j);
@@ -212,7 +200,6 @@ void write_text_file(const std::string& path, const std::string& content);
 struct GateOptions {
   double qps_drop_tolerance = 0.25;  ///< fail when qps drops more than this
   double stretch_epsilon = 1e-9;     ///< fail on any avg-stretch increase
-  double delta_floor_pct = 0.0;      ///< hot-path deltas must beat this
   /// Single-shot phase (APSP, snapshot load/map, repair) regression
   /// tolerance: the current cell may be up to (1 + this) x the baseline's
   /// time.  Generous because each phase is a single-shot measurement, not a
@@ -277,8 +264,8 @@ class GrowthGateError : public std::runtime_error {
 /// Compares `current` against `baseline` cell-by-cell (keyed by scheme,
 /// family, n).  Returns human-readable violations; empty means the gate
 /// passes.  Machine-independent checks (stretch increases, failed queries,
-/// missing cells, hot-path delta floor -- the deltas are relative, measured
-/// in-binary) always apply; the absolute-qps check is only armed when both
+/// failed snapshot phases, missing cells) always apply; the absolute-qps
+/// check is only armed when both
 /// documents carry the same host CPU fingerprint, because throughput from
 /// different hardware is not comparable (a baseline generated elsewhere
 /// would make the gate red -- or vacuous -- by construction).  Documents

@@ -21,7 +21,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/names.h"
@@ -48,10 +47,16 @@ class ExStretchScheme {
                   const NameAssignment& names, Rng& rng)
       : ExStretchScheme(g, metric, names, rng, Options{}) {}
 
-  /// Snapshot path: rehydrates tables and the cover hierarchy saved with
-  /// save(); self-contained (forwarding never consults the graph).
-  explicit ExStretchScheme(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
+  /// Appends every table, and the cover hierarchy under prefix + "h/", as
+  /// typed arena sections under `prefix`.
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+
+  /// Rebuilds a scheme whose tables are zero-copy views into an arena.
+  /// `names` is the snapshot's own name assignment; forwarding never
+  /// consults the graph.
+  [[nodiscard]] static ExStretchScheme from_arena(const ArenaView& a,
+                                                  const std::string& prefix,
+                                                  const NameAssignment& names);
 
   enum class Mode : std::uint8_t { kNew, kOutbound, kReturn, kInbound };
 
@@ -96,23 +101,15 @@ class ExStretchScheme {
   }
 
   /// Auditable: delegates to the naming, alphabet, cover hierarchy, and
-  /// block assignment, then checks every per-node dictionary key decodes to
-  /// a valid (level, prefix) pair with an in-range waypoint name.
+  /// block assignment, then checks the per-node dictionaries: CSR offsets
+  /// framing parallel arrays, sorted unique keys per row, every dictionary
+  /// key decoding to a valid (level, prefix) pair, and in-range names.
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditTestPeer;
-  struct DictEntry {
-    NodeName node = kNoNode;
-    R2Label r2;
-  };
-  struct NodeTables {
-    // (2): R2(u, v) for v in N_1(u), keyed by name.
-    std::unordered_map<NodeName, R2Label> nbr_r2;
-    // (3a)+(3b): keyed by pack(level i, value of the (i+1)-digit target
-    // prefix); value = nearest holder of a matching block and R2 to it.
-    std::unordered_map<std::int64_t, DictEntry> dict;
-  };
+  ExStretchScheme(NameAssignment names, Alphabet alphabet)
+      : names_(std::move(names)), alphabet_(std::move(alphabet)) {}
 
   [[nodiscard]] std::int64_t pack(int i, PrefixValue p) const {
     return static_cast<std::int64_t>(i) * alphabet_.power(alphabet_.k()) + p;
@@ -126,7 +123,20 @@ class ExStretchScheme {
   Alphabet alphabet_;
   std::shared_ptr<const CoverHierarchy> hierarchy_;
   BlockAssignment assignment_;
-  std::vector<NodeTables> tables_;
+  // (2): R2(u, v) for v in N_1(u), CSR over nodes: row u's sorted names are
+  // nbr_key_[nbr_off_[u] .. nbr_off_[u+1]), entry e's label nbr_r2_.at(e).
+  FlatVec<std::int64_t> nbr_off_;  // n + 1
+  FlatVec<NodeName> nbr_key_;
+  R2Table nbr_r2_;
+  // (3a)+(3b), CSR over nodes: keys pack(level i, value of the (i+1)-digit
+  // target prefix), sorted per row; entry e names the nearest holder of a
+  // matching block (dict_node_[e]) and the R2 label to it (dict_r2_.at(e)).
+  FlatVec<std::int64_t> dict_off_;  // n + 1
+  FlatVec<std::int64_t> dict_key_;
+  FlatVec<NodeName> dict_node_;
+  R2Table dict_r2_;
+  /// Keepalive when the arrays are views into a mapped arena.
+  std::shared_ptr<const ArenaStorage> arena_;
   std::int64_t node_space_ = 0;
   std::int64_t port_space_ = 0;
 };

@@ -32,6 +32,7 @@
 #include "dict/block_assignment.h"
 #include "net/simulator.h"
 #include "rtz/rtz3_scheme.h"
+#include "util/flat_vec.h"
 
 namespace rtr {
 
@@ -43,9 +44,13 @@ class ChosenNames {
  public:
   static ChosenNames random(NodeId n, Rng& rng);
 
-  /// Snapshot path: rebuilds the reverse index from the saved names.
-  static ChosenNames load(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
+  /// Snapshot path: views the forward table (one u64 section of `n` names)
+  /// in place and rebuilds the O(n) reverse index; throws
+  /// SnapshotArenaError on a duplicate name.
+  [[nodiscard]] static ChosenNames from_arena(const ArenaView& a,
+                                              const std::string& section,
+                                              NodeId n);
+  [[nodiscard]] const FlatVec<ChosenName>& names() const { return of_id_; }
 
   [[nodiscard]] NodeId node_count() const {
     return static_cast<NodeId>(of_id_.size());
@@ -61,7 +66,7 @@ class ChosenNames {
 
  private:
   friend struct AuditTestPeer;
-  std::vector<ChosenName> of_id_;
+  FlatVec<ChosenName> of_id_;
   std::unordered_map<ChosenName, NodeId> id_of_;
 };
 
@@ -70,7 +75,7 @@ class BucketHash {
  public:
   BucketHash(NodeId n, Rng& rng);
 
-  /// Snapshot path: the hash is fully determined by (n, a, b).
+  /// Snapshot meta path: the hash is fully determined by (n, a, b).
   explicit BucketHash(SnapshotReader& r);
   void save(SnapshotWriter& w) const;
 
@@ -97,10 +102,16 @@ class HashedStretch6Scheme {
                        const ChosenNames& chosen, Rng& rng)
       : HashedStretch6Scheme(g, metric, chosen, rng, Options{}) {}
 
-  /// Snapshot path: rehydrates tables (and the substrate's) saved with
-  /// save(); `g` must be the snapshot's own graph and outlive the scheme.
-  HashedStretch6Scheme(SnapshotReader& r, const Digraph& g);
-  void save(SnapshotWriter& w) const;
+  /// Appends every table as typed arena sections under `prefix`: the rtz3
+  /// substrate under prefix + "s/" (with its internal naming under
+  /// prefix + "s/names/"), the chosen names, the per-node CSR of stored
+  /// chosen names and the fixed-width holder rows.
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+
+  /// Rebuilds a scheme whose tables are zero-copy views into an arena; `g`
+  /// is the snapshot's own graph and must outlive the scheme.
+  [[nodiscard]] static HashedStretch6Scheme from_arena(
+      const ArenaView& a, const std::string& prefix, const Digraph& g);
 
   enum class Mode : std::uint8_t { kNew, kOutbound, kReturn, kInbound };
 
@@ -134,19 +145,15 @@ class HashedStretch6Scheme {
   [[nodiscard]] const ChosenNames& chosen() const { return chosen_; }
 
   /// Auditable: delegates to the substrate, chosen-name table, and bucket
-  /// alphabet, then checks the per-node dictionaries (sorted unique 64-bit
-  /// keys resolving to real chosen names, one holder per relevant block).
+  /// alphabet, then checks the per-node dictionaries (CSR offsets framing
+  /// the key array, sorted unique 64-bit keys resolving to real chosen
+  /// names, one holder per relevant block).
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditTestPeer;
-  struct NodeTables {
-    // Items (1) + (3): sorted chosen names whose (name, R3) pair this node
-    // stores; lookup_r3 resolves the address payload through the substrate
-    // (one copy per node, not per dictionary entry).
-    std::vector<ChosenName> r3_names;
-    std::vector<ChosenName> holder_of_block;  // item (2)
-  };
+  HashedStretch6Scheme(ChosenNames chosen, BucketHash hash, Alphabet alphabet,
+                       NodeId hood_size);
 
   [[nodiscard]] const RtzAddress* lookup_r3(NodeId at, ChosenName t) const;
 
@@ -155,7 +162,17 @@ class HashedStretch6Scheme {
   Alphabet alphabet_;  // over the bucket space
   NodeId hood_size_;
   std::shared_ptr<const Rtz3Scheme> substrate_;
-  std::vector<NodeTables> tables_;
+  // Items (1) + (3): sorted chosen names whose (name, R3) pair node v
+  // stores, CSR over nodes (row v is r3_names_[r3_off_[v] .. r3_off_[v+1]));
+  // lookup_r3 resolves the address payload through the substrate (one copy
+  // per node, not per dictionary entry).
+  FlatVec<std::int64_t> r3_off_;  // n + 1
+  FlatVec<ChosenName> r3_names_;
+  // Item (2): holder of each bucket-block within N(v), row-major
+  // n x relevant block count.
+  FlatVec<ChosenName> holder_of_block_;
+  /// Keepalive when the arrays are views into a mapped arena.
+  std::shared_ptr<const ArenaStorage> arena_;
   std::int64_t node_space_ = 0;
 };
 
@@ -171,7 +188,9 @@ class Hashed64Scheme {
                  std::shared_ptr<const HashedStretch6Scheme> impl)
       : names_(std::move(names)), impl_(std::move(impl)) {}
 
-  void save(SnapshotWriter& w) const { impl_->save(w); }
+  void save_arena(ArenaWriter& w, const std::string& prefix) const {
+    impl_->save_arena(w, prefix);
+  }
 
   [[nodiscard]] Header make_packet(NodeName dest) const {
     return impl_->make_packet(impl_->chosen().of_id(names_.id_of(dest)));

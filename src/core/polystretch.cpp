@@ -3,69 +3,72 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "audit/audit.h"
 #include "graph/apsp.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "util/bit_cost.h"
 #include "util/parallel.h"
 
 namespace rtr {
 
-void PolyStretchScheme::save(SnapshotWriter& w) const {
-  names_.save(w);
-  alphabet_.save(w);
-  hierarchy_->save(w);
-  w.u64(tables_.size());
-  for (const NodeTables& t : tables_) {
-    w.sorted_map(
-        t.per_tree, [](SnapshotWriter& ww, std::int64_t k) { ww.i64(k); },
-        [](SnapshotWriter& ww, const PerTree& per) {
-          save_tree_label(ww, per.own_label);
-          ww.sorted_map(
-              per.dict, [](SnapshotWriter& w3, std::int64_t k) { w3.i64(k); },
-              [](SnapshotWriter& w3, const DictEntry& e) {
-                w3.i32(e.node);
-                save_tree_label(w3, e.label);
-              });
-        });
-  }
-  w.i64(node_space_);
-  w.i64(port_space_);
+namespace {
+
+struct DictEntry {
+  NodeName node = kNoNode;
+  TreeLabel label;  // TreeR(C_i, node)
+};
+
+/// Build-time staging of one membership's storage; keys are generated in
+/// ascending order, so the entries are already a sorted dictionary row.
+struct PerTree {
+  TreeLabel own_label;  // TreeR(C_i, u)
+  std::vector<std::pair<std::int64_t, DictEntry>> dict;
+};
+
+}  // namespace
+
+void PolyStretchScheme::save_arena(ArenaWriter& w,
+                                   const std::string& prefix) const {
+  hierarchy_->save_arena(w, prefix + "h/");
+  own_label_.save_arena(w, prefix + "own_");
+  w.add(prefix + "dict_off", dict_off_);
+  w.add(prefix + "dict_key", dict_key_);
+  w.add(prefix + "dict_node", dict_node_);
+  dict_label_.save_arena(w, prefix + "dict_lab_");
+  // The name assignment is not embedded: the arena's top-level names
+  // sections are the same assignment, and the loader receives them.
+  SnapshotWriter meta;
+  alphabet_.save(meta);
+  meta.i64(node_space_);
+  meta.i64(port_space_);
+  w.add_bytes(prefix + "meta", meta.bytes().data(), meta.size());
 }
 
-PolyStretchScheme::PolyStretchScheme(SnapshotReader& r)
-    : names_(NameAssignment::load(r)), alphabet_(Alphabet::load(r)) {
-  hierarchy_ = std::make_shared<const CoverHierarchy>(r);
-  const std::uint64_t n = r.u64();
-  if (n != static_cast<std::uint64_t>(names_.node_count())) {
-    throw std::invalid_argument(
-        "polystretch snapshot: table count does not match the naming");
-  }
-  tables_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    NodeTables t;
-    t.per_tree = r.map<std::unordered_map<std::int64_t, PerTree>>(
-        [](SnapshotReader& rr) { return rr.i64(); },
-        [](SnapshotReader& rr) {
-          PerTree per;
-          per.own_label = load_tree_label(rr);
-          per.dict = rr.map<std::unordered_map<std::int64_t, DictEntry>>(
-              [](SnapshotReader& r3) { return r3.i64(); },
-              [](SnapshotReader& r3) {
-                DictEntry e;
-                e.node = r3.i32();
-                e.label = load_tree_label(r3);
-                return e;
-              },
-              8);
-          return per;
-        },
-        8);
-    tables_.push_back(std::move(t));
-  }
-  node_space_ = r.i64();
-  port_space_ = r.i64();
+PolyStretchScheme PolyStretchScheme::from_arena(const ArenaView& a,
+                                                const std::string& prefix,
+                                                const NameAssignment& names) {
+  SnapshotReader meta = a.reader(prefix + "meta");
+  PolyStretchScheme s(names, Alphabet::load(meta));
+  s.node_space_ = meta.i64();
+  s.port_space_ = meta.i64();
+  meta.expect_exhausted("polystretch arena meta");
+
+  s.hierarchy_ = std::make_shared<const CoverHierarchy>(
+      CoverHierarchy::from_arena(a, prefix + "h/", names.node_count()));
+  const auto slots =
+      static_cast<std::uint64_t>(s.hierarchy_->membership_count());
+  s.own_label_ = TreeLabelTable::from_arena(a, prefix + "own_", slots);
+  s.dict_off_ = a.vec<std::int64_t>(prefix + "dict_off", slots + 1);
+  s.dict_key_ = a.vec<std::int64_t>(prefix + "dict_key");
+  s.dict_node_ = a.vec<NodeName>(prefix + "dict_node", s.dict_key_.size());
+  s.dict_label_ =
+      TreeLabelTable::from_arena(a, prefix + "dict_lab_", s.dict_key_.size());
+  check_arena_csr(s.dict_off_, s.dict_key_.size(), prefix + "dict");
+  s.arena_ = a.storage();
+  return s;
 }
 
 PolyStretchScheme::PolyStretchScheme(const Digraph& g,
@@ -95,7 +98,7 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
     auto& level_index = by_prefix[static_cast<std::size_t>(level)];
     level_index.resize(lvl.trees.size());
     for (std::size_t t = 0; t < lvl.trees.size(); ++t) {
-      const std::vector<NodeId>& members = lvl.trees[t].members();
+      const FlatVec<NodeId>& members = lvl.trees[t].members();
       PrefixIndex& index = level_index[t];
       index.resize(static_cast<std::size_t>(k));
       for (std::size_t i = 0; i < members.size(); ++i) {
@@ -108,24 +111,24 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
     }
   }
 
-  // One fan-out over nodes: ticket u writes only tables_[u], visiting u's
-  // trees level by level in ascending tree order; the prefix index and the
-  // metric are only read.
-  tables_.resize(static_cast<std::size_t>(n));
+  // One fan-out over nodes: ticket u writes only the membership slots of
+  // u's own trees; the prefix index and the metric are only read.
+  std::vector<PerTree> per_slot(
+      static_cast<std::size_t>(hierarchy_->membership_count()));
   parallel_tickets(n, threads, [&] {
     return [&](std::int64_t ticket) {
       const auto u = static_cast<NodeId>(ticket);
       const NodeName un = names_.name_of(u);
-      auto& per_tree = tables_[static_cast<std::size_t>(u)].per_tree;
       for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
         const HierarchyLevel& lvl = hierarchy_->level(level);
         for (const auto [t, iu] : lvl.trees_of(u)) {
           const DoubleTree& tree = lvl.trees[static_cast<std::size_t>(t)];
           const TreeRouter& router = tree.out_router();
-          const std::vector<NodeId>& members = tree.members();
+          const FlatVec<NodeId>& members = tree.members();
           const PrefixIndex& index = by_prefix[static_cast<std::size_t>(level)]
                                               [static_cast<std::size_t>(t)];
-          auto& per = per_tree[tree_key(TreeRef{level, t})];
+          auto& per = per_slot[static_cast<std::size_t>(
+              hierarchy_->membership_slot(TreeRef{level, t}, u))];
           per.own_label = router.label_at(iu);
           // (2c): for every j and tau, the nearest member extending u's own
           // j-digit prefix with digit tau, if one exists.
@@ -155,14 +158,41 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
               DictEntry entry;
               entry.node = names_.name_of(members[static_cast<std::size_t>(best)]);
               entry.label = router.label_at(best);
-              per.dict.emplace(static_cast<std::int64_t>(j) * q + tau,
-                               std::move(entry));
+              per.dict.emplace_back(static_cast<std::int64_t>(j) * q + tau,
+                                    std::move(entry));
             }
           }
         }
       }
     };
   });
+
+  // Flatten the staging into the slot-indexed arrays.
+  TreeLabelTable::Builder own_label, dict_label;
+  std::vector<std::int64_t> dict_off{0}, dict_key;
+  std::vector<NodeName> dict_node;
+  for (const PerTree& per : per_slot) {
+    own_label.push(per.own_label);
+    for (const auto& [key, entry] : per.dict) {
+      dict_key.push_back(key);
+      dict_node.push_back(entry.node);
+      dict_label.push(entry.label);
+    }
+    dict_off.push_back(static_cast<std::int64_t>(dict_key.size()));
+  }
+  own_label_ = own_label.finish();
+  dict_off_ = std::move(dict_off);
+  dict_key_ = std::move(dict_key);
+  dict_node_ = std::move(dict_node);
+  dict_label_ = dict_label.finish();
+}
+
+std::size_t PolyStretchScheme::slot_of(TreeRef tree, NodeId at) const {
+  const std::int64_t slot = hierarchy_->membership_slot(tree, at);
+  if (slot < 0) {
+    throw std::logic_error("polystretch: waypoint outside the current tree");
+  }
+  return static_cast<std::size_t>(slot);
 }
 
 Decision PolyStretchScheme::start_level(NodeId at, Header& h) const {
@@ -173,9 +203,7 @@ Decision PolyStretchScheme::start_level(NodeId at, Header& h) const {
       throw std::logic_error("polystretch: levels exhausted without delivery");
     }
     h.tree = hierarchy_->home(at, h.level);
-    const auto& per = tables_[static_cast<std::size_t>(at)].per_tree.at(
-        tree_key(h.tree));
-    h.src_label = per.own_label;
+    h.src_label = own_label_.at(slot_of(h.tree, at));
     Decision d = next_hop(at, h);
     // next_hop either launched a leg (forward), delivered (s == t), or asked
     // to fall back to the source -- which we are already at: escalate.
@@ -190,27 +218,25 @@ Decision PolyStretchScheme::next_hop(NodeId at, Header& h) const {
     h.found = true;
     return Decision::deliver_here();
   }
-  const auto& per_tree = tables_[static_cast<std::size_t>(at)].per_tree;
-  auto per_it = per_tree.find(tree_key(h.tree));
-  if (per_it == per_tree.end()) {
-    throw std::logic_error("polystretch: waypoint outside the current tree");
-  }
-  const PerTree& per = per_it->second;
-
+  const std::size_t slot = slot_of(h.tree, at);
   const int h_match = alphabet_.lcp(at_name, h.dest);  // digits already matched
   const int tau = alphabet_.digit(h.dest, h_match);
-  auto it = per.dict.find(static_cast<std::int64_t>(h_match) * alphabet_.q() + tau);
-  if (it != per.dict.end() && it->second.node != at_name) {
+  const std::int64_t e =
+      csr_find(dict_off_, dict_key_, slot,
+               static_cast<std::int64_t>(h_match) * alphabet_.q() + tau);
+  const NodeName next =
+      e < 0 ? kNoNode : dict_node_[static_cast<std::size_t>(e)];
+  if (e >= 0 && next != at_name) {
     // Extend the match: trip to the entry through the tree's center.
-    h.waypoint = it->second.node;
-    h.leg = DtLeg{h.tree, it->second.label, true};
+    h.waypoint = next;
+    h.leg = DtLeg{h.tree, dict_label_.at(static_cast<std::size_t>(e)), true};
     DtStep step = dt_step(*hierarchy_, at, h.leg);
     if (step.arrived) {
       throw std::logic_error("polystretch: fresh trip arrived instantly");
     }
     return Decision::forward_on(step.port);
   }
-  if (it != per.dict.end() && it->second.node == at_name) {
+  if (e >= 0) {
     // The nearest extension is this node itself, yet it is not t: the next
     // digit cannot be extended further here; treat as failure.  (Cannot
     // happen when t is in the tree: t extends every prefix of itself and
@@ -297,61 +323,67 @@ void PolyStretchScheme::audit(AuditReport& report) const {
   hierarchy_->audit(report);
 
   const auto n = static_cast<std::size_t>(names_.node_count());
-  report.check("tables-sized", tables_.size() == n,
-               "one table block per node");
-  if (tables_.size() != n) return;
+  const auto slots = static_cast<std::size_t>(hierarchy_->membership_count());
+  const bool sized = own_label_.size() == slots &&
+                     dict_off_.size() == slots + 1 &&
+                     dict_node_.size() == dict_key_.size() &&
+                     dict_label_.size() == dict_key_.size();
+  report.check("tables-sized", sized,
+               "one own label and one dictionary row per tree membership");
+  if (!sized) return;
+  const bool framed = csr_framed(dict_off_, dict_key_.size()) &&
+                      own_label_.framed() && dict_label_.framed();
+  report.check("dict-offsets-wellformed", framed,
+               "dictionary and label CSR offsets must rise monotonically "
+               "from 0 to their entry array sizes");
+  if (!framed) return;
 
-  // Per-tree storage: each referenced tree must exist in the hierarchy and
-  // contain the node; dictionary waypoints must be real names.
+  // Dictionary rows: keys sorted and unique, waypoints real names.
   bool refs_ok = true;
   std::string refs_detail;
-  for (std::size_t v = 0; refs_ok && v < n; ++v) {
-    for (const auto& [key, per_tree] : tables_[v].per_tree) {
-      const TreeRef ref{static_cast<std::int32_t>(key / (1 << 24)),
-                        static_cast<std::int32_t>(key % (1 << 24))};
-      if (ref.level < 0 || ref.level >= hierarchy_->level_count() ||
-          ref.tree < 0 ||
-          static_cast<std::size_t>(ref.tree) >=
-              hierarchy_->level(ref.level).trees.size() ||
-          !hierarchy_->tree(ref).contains(static_cast<NodeId>(v))) {
+  for (std::size_t slot = 0; refs_ok && slot < slots; ++slot) {
+    const auto lo = static_cast<std::size_t>(dict_off_[slot]);
+    const auto hi = static_cast<std::size_t>(dict_off_[slot + 1]);
+    for (std::size_t e = lo; refs_ok && e < hi; ++e) {
+      const NodeName node = dict_node_[e];
+      if (node < 0 || static_cast<std::size_t>(node) >= n ||
+          (e > lo && dict_key_[e - 1] >= dict_key_[e])) {
         refs_ok = false;
-        refs_detail = "node " + std::to_string(v) +
-                      " stores state for a tree that does not contain it";
-        break;
+        refs_detail = "per-tree dictionary at membership slot " +
+                      std::to_string(slot) +
+                      " is unsorted or stores an out-of-range waypoint";
       }
-      for (const auto& [dkey, entry] : per_tree.dict) {
-        if (entry.node < 0 || static_cast<std::size_t>(entry.node) >= n) {
-          refs_ok = false;
-          refs_detail = "per-tree dictionary of node " + std::to_string(v) +
-                        " stores an out-of-range waypoint";
-          break;
-        }
-      }
-      if (!refs_ok) break;
     }
   }
   report.check("per-tree-refs-valid", refs_ok, std::move(refs_detail));
 }
 
 TableStats PolyStretchScheme::table_stats() const {
-  const auto n = static_cast<NodeId>(tables_.size());
+  const auto n = static_cast<NodeId>(names_.node_count());
   TableStats stats =
       hierarchy_node_stats(*hierarchy_, n, node_space_, port_space_);
   const std::int64_t id_bits = bits_for(node_space_);
-  for (NodeId v = 0; v < n; ++v) {
-    std::int64_t entries = 0, bits = 0;
-    for (const auto& [key, per] : tables_[static_cast<std::size_t>(v)].per_tree) {
-      (void)key;
-      ++entries;  // own label
-      bits += tree_label_bits(per.own_label, node_space_, port_space_);
-      for (const auto& [dk, entry] : per.dict) {
-        (void)dk;
-        ++entries;
-        bits += id_bits /* key */ + id_bits +
-                tree_label_bits(entry.label, node_space_, port_space_);
+  for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
+    const HierarchyLevel& lvl = hierarchy_->level(level);
+    for (NodeId v = 0; v < n; ++v) {
+      const auto vz = static_cast<std::size_t>(v);
+      std::int64_t entries = 0, bits = 0;
+      for (auto slot = static_cast<std::size_t>(lvl.slot_base +
+                                                lvl.membership_off[vz]);
+           slot < static_cast<std::size_t>(lvl.slot_base +
+                                           lvl.membership_off[vz + 1]);
+           ++slot) {
+        ++entries;  // own label
+        bits += tree_label_bits(own_label_.at(slot), node_space_, port_space_);
+        for (auto e = static_cast<std::size_t>(dict_off_[slot]);
+             e < static_cast<std::size_t>(dict_off_[slot + 1]); ++e) {
+          ++entries;
+          bits += id_bits /* key */ + id_bits +
+                  tree_label_bits(dict_label_.at(e), node_space_, port_space_);
+        }
       }
+      stats.add(v, entries, bits);
     }
-    stats.add(v, entries, bits);
   }
   return stats;
 }

@@ -22,7 +22,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/names.h"
@@ -47,10 +46,16 @@ class PolyStretchScheme {
                     const NameAssignment& names)
       : PolyStretchScheme(g, metric, names, Options{}) {}
 
-  /// Snapshot path: rehydrates tables and the cover hierarchy saved with
-  /// save(); self-contained (forwarding never consults the graph).
-  explicit PolyStretchScheme(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
+  /// Appends every table, and the cover hierarchy under prefix + "h/", as
+  /// typed arena sections under `prefix`.
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+
+  /// Rebuilds a scheme whose tables are zero-copy views into an arena.
+  /// `names` is the snapshot's own name assignment; forwarding never
+  /// consults the graph.
+  [[nodiscard]] static PolyStretchScheme from_arena(
+      const ArenaView& a, const std::string& prefix,
+      const NameAssignment& names);
 
   enum class Mode : std::uint8_t { kNew, kEnroute, kReturn };
 
@@ -90,30 +95,19 @@ class PolyStretchScheme {
   [[nodiscard]] const CoverHierarchy& hierarchy() const { return *hierarchy_; }
 
   /// Auditable: delegates to the naming, alphabet, and cover hierarchy, then
-  /// checks each node's per-tree storage references real trees containing
-  /// the node, with in-range waypoint names in every dictionary entry.
+  /// checks the per-membership storage: one own label per membership of the
+  /// hierarchy, dictionary CSR offsets framing parallel arrays, sorted
+  /// unique keys per row, and in-range waypoint names in every entry.
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditTestPeer;
-  struct DictEntry {
-    NodeName node = kNoNode;
-    TreeLabel label;  // TreeR(C_i, node)
-  };
-  struct PerTree {
-    TreeLabel own_label;  // TreeR(C_i, u)
-    // key = j * q + tau -> nearest extending member (keys use u's own
-    // prefixes, so j is implicit in the match; see build).
-    std::unordered_map<std::int64_t, DictEntry> dict;
-  };
-  struct NodeTables {
-    // (level, tree index within level) -> per-tree storage.
-    std::unordered_map<std::int64_t, PerTree> per_tree;
-  };
+  PolyStretchScheme(NameAssignment names, Alphabet alphabet)
+      : names_(std::move(names)), alphabet_(std::move(alphabet)) {}
 
-  [[nodiscard]] std::int64_t tree_key(TreeRef ref) const {
-    return static_cast<std::int64_t>(ref.level) * (1 << 24) + ref.tree;
-  }
+  /// at's membership slot in `tree` (CoverHierarchy::membership_slot);
+  /// throws std::logic_error when the tree does not contain at.
+  [[nodiscard]] std::size_t slot_of(TreeRef tree, NodeId at) const;
 
   /// NextNode at the current node within h.tree (Fig. 9 / Section 4.2):
   /// extend the matched prefix or fall back to the source.
@@ -125,7 +119,18 @@ class PolyStretchScheme {
   NameAssignment names_;
   Alphabet alphabet_;
   std::shared_ptr<const CoverHierarchy> hierarchy_;
-  std::vector<NodeTables> tables_;
+  // Per-tree storage of every node, indexed by membership slot (one slot
+  // per (node, tree containing it), CoverHierarchy::membership_slot): the
+  // node's own label TreeR(C_i, u) in own_label_, and a dictionary CSR over
+  // slots keyed j * q + tau (sorted per row), each entry the nearest member
+  // extending u's own j-digit prefix with digit tau and its label.
+  TreeLabelTable own_label_;
+  FlatVec<std::int64_t> dict_off_;  // membership count + 1
+  FlatVec<std::int64_t> dict_key_;
+  FlatVec<NodeName> dict_node_;
+  TreeLabelTable dict_label_;
+  /// Keepalive when the arrays are views into a mapped arena.
+  std::shared_ptr<const ArenaStorage> arena_;
   std::int64_t node_space_ = 0;
   std::int64_t port_space_ = 0;
 };

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "audit/audit.h"
-#include "io/snapshot_format.h"
 
 namespace rtr {
 
@@ -84,27 +83,21 @@ void DoubleTree::audit(AuditReport& report) const {
   out_router_.audit(report);
 }
 
-void DoubleTree::save(SnapshotWriter& w) const {
-  w.i64(rt_height_);
-  w.vec_i32(up_port_);
-  w.vec_i64(up_dist_);
-  w.vec_i64(down_dist_);
-  out_router_.save(w);
-}
-
-// The init list mirrors save()'s field order (= declaration order, which
-// C++ guarantees for member initialization).
-DoubleTree::DoubleTree(SnapshotReader& r)
-    : rt_height_(r.i64()),
-      up_port_(r.vec_i32()),
-      up_dist_(r.vec_i64()),
-      down_dist_(r.vec_i64()),
-      out_router_(r) {
-  const auto m = static_cast<std::size_t>(member_count());
-  if (up_port_.size() != m || up_dist_.size() != m || down_dist_.size() != m) {
-    throw SnapshotFormatError(
-        "snapshot: double tree arrays disagree with its member count");
+DoubleTree DoubleTree::adopt(Dist rt_height, FlatVec<Port> up_port,
+                             FlatVec<Dist> up_dist, FlatVec<Dist> down_dist,
+                             TreeRouter out_router) {
+  const auto m = static_cast<std::size_t>(out_router.member_count());
+  if (up_port.size() != m || up_dist.size() != m || down_dist.size() != m) {
+    throw std::invalid_argument(
+        "DoubleTree: adopted arrays disagree with the member count");
   }
+  DoubleTree t;
+  t.rt_height_ = rt_height;
+  t.up_port_ = std::move(up_port);
+  t.up_dist_ = std::move(up_dist);
+  t.down_dist_ = std::move(down_dist);
+  t.out_router_ = std::move(out_router);
+  return t;
 }
 
 }  // namespace rtr

@@ -29,8 +29,6 @@
 
 namespace rtr {
 
-class SnapshotWriter;  // io/snapshot_format.h
-class SnapshotReader;
 class AuditReport;  // audit/audit.h
 
 class DoubleTree {
@@ -42,13 +40,18 @@ class DoubleTree {
   DoubleTree(const Digraph& g, const Digraph& reversed, NodeId center,
              std::vector<NodeId> members, DijkstraWorkspace& ws);
 
-  /// Snapshot path: rehydrates a tree saved with save().
-  explicit DoubleTree(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
+  /// Snapshot path: adopts the per-member arrays of a tree built earlier
+  /// (views into a mapped arena, typically) next to its out-tree router.
+  /// Throws std::invalid_argument when an array's length is not the
+  /// router's member count.
+  [[nodiscard]] static DoubleTree adopt(Dist rt_height, FlatVec<Port> up_port,
+                                        FlatVec<Dist> up_dist,
+                                        FlatVec<Dist> down_dist,
+                                        TreeRouter out_router);
 
   [[nodiscard]] NodeId center() const { return out_router_.root(); }
   /// Sorted ascending; member index i is members()[i].
-  [[nodiscard]] const std::vector<NodeId>& members() const {
+  [[nodiscard]] const FlatVec<NodeId>& members() const {
     return out_router_.members();
   }
   [[nodiscard]] NodeId member_count() const {
@@ -75,6 +78,11 @@ class DoubleTree {
     return up_port_[static_cast<std::size_t>(i)];
   }
 
+  /// The per-member arrays (snapshot writers concatenate them).
+  [[nodiscard]] const FlatVec<Port>& up_ports() const { return up_port_; }
+  [[nodiscard]] const FlatVec<Dist>& up_dists() const { return up_dist_; }
+  [[nodiscard]] const FlatVec<Dist>& down_dists() const { return down_dist_; }
+
   /// Lemma 14 routing structure on OutTree; shares this tree's member
   /// indices.
   [[nodiscard]] const TreeRouter& out_router() const { return out_router_; }
@@ -92,10 +100,11 @@ class DoubleTree {
 
  private:
   friend struct AuditTestPeer;
+  DoubleTree() = default;  // adopt() fills the members
   Dist rt_height_ = 0;
-  std::vector<Port> up_port_;    // per member
-  std::vector<Dist> up_dist_;    // per member
-  std::vector<Dist> down_dist_;  // per member
+  FlatVec<Port> up_port_;    // per member
+  FlatVec<Dist> up_dist_;    // per member
+  FlatVec<Dist> down_dist_;  // per member
   TreeRouter out_router_;
 };
 

@@ -7,7 +7,7 @@
 
 #include "audit/audit.h"
 #include "graph/apsp.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "util/parallel.h"
 
 namespace rtr {
@@ -33,7 +33,7 @@ void index_memberships(HierarchyLevel& level, std::size_t n) {
   std::vector<std::int64_t> fill(level.membership_off.begin(),
                                  level.membership_off.end() - 1);
   for (std::size_t t = 0; t < level.trees.size(); ++t) {
-    const std::vector<NodeId>& members = level.trees[t].members();
+    const FlatVec<NodeId>& members = level.trees[t].members();
     for (std::size_t i = 0; i < members.size(); ++i) {
       level.memberships[static_cast<std::size_t>(
           fill[static_cast<std::size_t>(members[i])]++)] =
@@ -78,73 +78,146 @@ CoverHierarchy::CoverHierarchy(const Digraph& g, const Digraph& reversed,
       level.trees.push_back(std::move(*tree));
     }
     index_memberships(level, static_cast<std::size_t>(g.node_count()));
+    level.slot_base = membership_count();
     levels_.push_back(std::move(level));
     if (radius >= diameter) break;
   }
 }
 
-void save_tree_ref(SnapshotWriter& w, const TreeRef& ref) {
-  w.i32(ref.level);
-  w.i32(ref.tree);
+std::int64_t CoverHierarchy::membership_count() const {
+  if (levels_.empty()) return 0;
+  const HierarchyLevel& top = levels_.back();
+  return top.slot_base + static_cast<std::int64_t>(top.memberships.size());
 }
 
-TreeRef load_tree_ref(SnapshotReader& r) {
-  TreeRef ref;
-  ref.level = r.i32();
-  ref.tree = r.i32();
-  return ref;
-}
-
-namespace {
-
-// Leads the hierarchy encoding.  Hierarchies written before double trees
-// and tree routers stored member-indexed arrays began with k (a small i32)
-// here, so their blobs are rejected instead of misread.
-constexpr std::uint32_t kHierarchyLayoutTag = 0x3248434du;  // "MCH2"
-
-}  // namespace
-
-void CoverHierarchy::save(SnapshotWriter& w) const {
-  w.u32(kHierarchyLayoutTag);
-  w.i32(k_);
-  w.u64(levels_.size());
+void CoverHierarchy::save_arena(ArenaWriter& w,
+                                const std::string& prefix) const {
+  std::vector<Dist> radius;
+  std::vector<std::int32_t> home;
+  std::vector<std::int64_t> tree_off{0};
+  std::vector<NodeId> root;
+  std::vector<Dist> height;
+  std::vector<std::int64_t> member_off{0};
+  std::vector<NodeId> members;
+  std::vector<TreeNodeTable> tables;
+  std::vector<std::int32_t> parent;
+  std::vector<Port> parent_port;
+  std::vector<std::int32_t> heavy;
+  std::vector<Port> up_port;
+  std::vector<Dist> up_dist;
+  std::vector<Dist> down_dist;
+  const auto append = [](auto& out, const auto& in) {
+    out.insert(out.end(), in.begin(), in.end());
+  };
   for (const HierarchyLevel& level : levels_) {
-    w.i64(level.radius);
-    w.vec(level.trees,
-          [](SnapshotWriter& ww, const DoubleTree& t) { t.save(ww); });
-    w.vec_i32(level.home_of);
+    radius.push_back(level.radius);
+    append(home, level.home_of);
+    for (const DoubleTree& tree : level.trees) {
+      const TreeRouter& router = tree.out_router();
+      root.push_back(tree.center());
+      height.push_back(tree.rt_height());
+      append(members, router.members());
+      append(tables, router.tables());
+      append(parent, router.parents());
+      append(parent_port, router.parent_ports());
+      append(heavy, router.heavy_children());
+      append(up_port, tree.up_ports());
+      append(up_dist, tree.up_dists());
+      append(down_dist, tree.down_dists());
+      member_off.push_back(static_cast<std::int64_t>(members.size()));
+    }
+    tree_off.push_back(static_cast<std::int64_t>(root.size()));
   }
+  SnapshotWriter meta;
+  meta.i32(k_);
+  w.add_bytes(prefix + "meta", meta.bytes().data(), meta.size());
+  w.add(prefix + "radius", radius);
+  w.add(prefix + "home", home);
+  w.add(prefix + "tree_off", tree_off);
+  w.add(prefix + "root", root);
+  w.add(prefix + "height", height);
+  w.add(prefix + "member_off", member_off);
+  w.add(prefix + "members", members);
+  w.add(prefix + "tables", tables);
+  w.add(prefix + "parent", parent);
+  w.add(prefix + "parent_port", parent_port);
+  w.add(prefix + "heavy", heavy);
+  w.add(prefix + "up_port", up_port);
+  w.add(prefix + "up_dist", up_dist);
+  w.add(prefix + "down_dist", down_dist);
 }
 
-CoverHierarchy::CoverHierarchy(SnapshotReader& r) {
-  if (const std::uint32_t tag = r.u32(); tag != kHierarchyLayoutTag) {
-    throw SnapshotFormatError(
-        "snapshot: cover hierarchy layout tag " + std::to_string(tag) +
-        " is not the member-indexed layout this binary reads (re-save the "
-        "snapshot)");
-  }
-  k_ = r.i32();
-  const std::uint64_t level_count = r.u64();
-  // Radii double per level, so 64 levels already exceed any Dist; treat more
-  // as corruption rather than trusting the count with an allocation.
-  if (level_count > 64) {
-    throw SnapshotFormatError("snapshot: implausible hierarchy level count " +
-                              std::to_string(level_count));
-  }
-  levels_.reserve(static_cast<std::size_t>(level_count));
-  for (std::uint64_t i = 0; i < level_count; ++i) {
-    HierarchyLevel level;
-    level.radius = r.i64();
-    level.trees =
-        r.vec<DoubleTree>([](SnapshotReader& rr) { return DoubleTree(rr); }, 8);
-    level.home_of = r.vec_i32();
-    try {
-      index_memberships(level, level.home_of.size());
-    } catch (const std::invalid_argument& e) {
-      throw SnapshotFormatError(std::string("snapshot: ") + e.what());
+CoverHierarchy CoverHierarchy::from_arena(const ArenaView& a,
+                                          const std::string& prefix,
+                                          NodeId n) {
+  CoverHierarchy h;
+  SnapshotReader meta = a.reader(prefix + "meta");
+  h.k_ = meta.i32();
+  meta.expect_exhausted("cover hierarchy meta");
+
+  const auto nz = static_cast<std::uint64_t>(n);
+  const auto radius = a.vec<Dist>(prefix + "radius");
+  const std::uint64_t levels = radius.size();
+  const auto home = a.vec<std::int32_t>(prefix + "home", levels * nz);
+  const auto tree_off = a.vec<std::int64_t>(prefix + "tree_off", levels + 1);
+  const auto root = a.vec<NodeId>(prefix + "root");
+  const std::uint64_t trees = root.size();
+  const auto height = a.vec<Dist>(prefix + "height", trees);
+  const auto member_off = a.vec<std::int64_t>(prefix + "member_off", trees + 1);
+  const auto members = a.vec<NodeId>(prefix + "members");
+  const std::uint64_t m = members.size();
+  const auto tables = a.vec<TreeNodeTable>(prefix + "tables", m);
+  const auto parent = a.vec<std::int32_t>(prefix + "parent", m);
+  const auto parent_port = a.vec<Port>(prefix + "parent_port", m);
+  const auto heavy = a.vec<std::int32_t>(prefix + "heavy", m);
+  const auto up_port = a.vec<Port>(prefix + "up_port", m);
+  const auto up_dist = a.vec<Dist>(prefix + "up_dist", m);
+  const auto down_dist = a.vec<Dist>(prefix + "down_dist", m);
+  check_arena_csr(tree_off, trees, prefix + "tree");
+  check_arena_csr(member_off, m, prefix + "member");
+
+  // Every tree views its slice of the hierarchy-wide member arrays.
+  const auto slice = [](const auto& all, std::int64_t lo, std::int64_t hi) {
+    return std::decay_t<decltype(all)>::view(
+        all.data() + lo, static_cast<std::size_t>(hi - lo));
+  };
+  h.levels_.reserve(static_cast<std::size_t>(levels));
+  try {
+    for (std::size_t l = 0; l < levels; ++l) {
+      HierarchyLevel level;
+      level.radius = radius[l];
+      level.home_of = slice(home, static_cast<std::int64_t>(l * nz),
+                            static_cast<std::int64_t>((l + 1) * nz));
+      const std::int64_t first = tree_off[l];
+      const std::int64_t last = tree_off[l + 1];
+      for (std::int32_t t : level.home_of) {
+        if (t < 0 || t >= last - first) {
+          throw std::invalid_argument("home tree index out of range");
+        }
+      }
+      level.trees.reserve(static_cast<std::size_t>(last - first));
+      for (auto t = static_cast<std::size_t>(first);
+           t < static_cast<std::size_t>(last); ++t) {
+        const std::int64_t lo = member_off[t];
+        const std::int64_t hi = member_off[t + 1];
+        level.trees.push_back(DoubleTree::adopt(
+            height[t], slice(up_port, lo, hi), slice(up_dist, lo, hi),
+            slice(down_dist, lo, hi),
+            TreeRouter::adopt(root[t], slice(members, lo, hi),
+                              slice(tables, lo, hi), slice(parent, lo, hi),
+                              slice(parent_port, lo, hi),
+                              slice(heavy, lo, hi))));
+      }
+      index_memberships(level, static_cast<std::size_t>(n));
+      level.slot_base = h.membership_count();
+      h.levels_.push_back(std::move(level));
     }
-    levels_.push_back(std::move(level));
+  } catch (const std::invalid_argument& e) {
+    throw SnapshotArenaError("arena: cover hierarchy: " +
+                             std::string(e.what()));
   }
+  h.arena_ = a.storage();
+  return h;
 }
 
 void CoverHierarchy::audit(AuditReport& report) const {

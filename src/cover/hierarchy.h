@@ -14,17 +14,22 @@
 #ifndef RTR_COVER_HIERARCHY_H
 #define RTR_COVER_HIERARCHY_H
 
+#include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cover/double_tree.h"
 #include "cover/sparse_cover.h"
+#include "util/flat_vec.h"
 
 namespace rtr {
 
-class SnapshotWriter;  // io/snapshot_format.h
-class SnapshotReader;
+class ArenaStorage;  // io/arena.h
+class ArenaView;
+class ArenaWriter;
 
 /// Identifies one double tree in the hierarchy: (level index, tree index).
 struct TreeRef {
@@ -33,10 +38,8 @@ struct TreeRef {
 
   friend bool operator==(const TreeRef&, const TreeRef&) = default;
 };
-
-/// Snapshot encoding of a tree reference.
-void save_tree_ref(SnapshotWriter& w, const TreeRef& ref);
-[[nodiscard]] TreeRef load_tree_ref(SnapshotReader& r);
+static_assert(sizeof(TreeRef) == 8);
+static_assert(std::is_trivially_copyable_v<TreeRef>);
 
 /// One node's membership in one tree of a level: the tree's index and the
 /// node's member index inside it.
@@ -48,13 +51,16 @@ struct TreeMembership {
 struct HierarchyLevel {
   Dist radius = 0;  // 2^{i}
   std::vector<DoubleTree> trees;
-  std::vector<std::int32_t> home_of;  // per node
+  FlatVec<std::int32_t> home_of;  // per node
   /// Per node, CSR over `memberships`: the trees containing the node,
   /// ascending by tree index, each with the node's member index in it.
   /// This is the node's own view of its per-tree state (at most 2k n^{1/k}
   /// entries, Theorem 13(3)); derived from `trees`, not persisted.
   std::vector<std::int64_t> membership_off;  // n + 1
   std::vector<TreeMembership> memberships;
+  /// Memberships of all lower levels: this level's entry j has hierarchy-wide
+  /// membership slot slot_base + j.
+  std::int64_t slot_base = 0;
 
   [[nodiscard]] std::span<const TreeMembership> trees_of(NodeId v) const {
     const auto b = membership_off[static_cast<std::size_t>(v)];
@@ -72,9 +78,20 @@ class CoverHierarchy {
   CoverHierarchy(const Digraph& g, const Digraph& reversed,
                  const RoundtripMetric& metric, int k, int threads = 1);
 
-  /// Snapshot path: rehydrates a hierarchy saved with save().
-  explicit CoverHierarchy(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
+  /// Appends the hierarchy as typed arena sections under `prefix`: every
+  /// tree's per-member arrays concatenated hierarchy-wide (levels in order,
+  /// trees in order), one offsets array framing each tree's members, one
+  /// framing each level's trees, the per-level radii and home trees, and k
+  /// in a small meta section.
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+
+  /// Rebuilds a hierarchy whose trees view those sections in place; only
+  /// the per-node membership index (O(memberships)) is rebuilt.  `n` is the
+  /// snapshot's node count.  Throws SnapshotArenaError when counts or
+  /// offsets disagree.
+  [[nodiscard]] static CoverHierarchy from_arena(const ArenaView& a,
+                                                 const std::string& prefix,
+                                                 NodeId n);
 
   [[nodiscard]] int k() const { return k_; }
   [[nodiscard]] std::int32_t level_count() const {
@@ -100,6 +117,24 @@ class CoverHierarchy {
     return -1;
   }
 
+  /// Position of v's membership in tree `ref` among all memberships of the
+  /// hierarchy (levels in order, each level's trees_of rows in node order),
+  /// or -1 when that tree does not contain v.  Schemes keep per-membership
+  /// state in arrays indexed by it.
+  [[nodiscard]] std::int64_t membership_slot(TreeRef ref, NodeId v) const {
+    const HierarchyLevel& lvl = levels_[static_cast<std::size_t>(ref.level)];
+    for (const TreeMembership& m : lvl.trees_of(v)) {
+      if (m.tree >= ref.tree) {
+        return m.tree == ref.tree
+                   ? lvl.slot_base + (&m - lvl.memberships.data())
+                   : -1;
+      }
+    }
+    return -1;
+  }
+  /// Total memberships over all levels (one past the largest slot).
+  [[nodiscard]] std::int64_t membership_count() const;
+
   /// The home double-tree of v at level i.
   [[nodiscard]] TreeRef home(NodeId v, std::int32_t level_index) const {
     return TreeRef{level_index,
@@ -124,8 +159,12 @@ class CoverHierarchy {
   void audit(AuditReport& report) const;
 
  private:
+  CoverHierarchy() = default;  // from_arena fills the members
+
   int k_ = 0;
   std::vector<HierarchyLevel> levels_;
+  /// Keepalive when the trees view a mapped arena.
+  std::shared_ptr<const ArenaStorage> arena_;
 };
 
 }  // namespace rtr

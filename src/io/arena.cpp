@@ -233,18 +233,23 @@ ArenaView::ArenaView(std::shared_ptr<const ArenaStorage> storage)
   }
   const std::uint8_t* base = storage_->data();
   const std::size_t size = storage_->size();
-  if (size < kArenaSectionStart) {
-    throw SnapshotTruncatedError("arena: region shorter than the v2 prologue");
+  // Magic and version first, so a file of another format version is
+  // refused as such whatever its length.
+  if (size < kArenaMagicSize + 4) {
+    throw SnapshotTruncatedError("arena: region shorter than the prologue");
   }
   if (!std::equal(snapshot_magic(), snapshot_magic() + kArenaMagicSize, base)) {
     throw SnapshotFormatError("arena: bad magic (not a snapshot)");
   }
-  SnapshotReader prologue(base + kArenaMagicSize, 8);
+  SnapshotReader prologue(base + kArenaMagicSize, 4);
   const std::uint32_t version = prologue.u32();
   if (version != kArenaFormatVersion) {
     throw SnapshotVersionError("arena: version " + std::to_string(version) +
                                ", this reader maps only version " +
                                std::to_string(kArenaFormatVersion));
+  }
+  if (size < kArenaSectionStart) {
+    throw SnapshotTruncatedError("arena: region shorter than the v2 prologue");
   }
   SnapshotReader hr(base + kArenaMagicSize + 8, sizeof(ArenaFileHeader));
   hr.read_exact(&header_, sizeof header_);
@@ -369,6 +374,15 @@ void ArenaView::verify_section_crcs() const {
       throw SnapshotChecksumError("arena: section '" + e.name_str() +
                                   "' CRC mismatch");
     }
+  }
+}
+
+void check_arena_csr(const FlatVec<std::int64_t>& off, std::size_t entries,
+                     const std::string& what) {
+  if (!csr_framed(off, entries)) {
+    throw SnapshotArenaError("arena: " + what +
+                             " offsets are not a CSR over its " +
+                             std::to_string(entries) + " entries");
   }
 }
 

@@ -4,7 +4,7 @@
 //
 //   offset  field
 //   ------  ------------------------------------------------------------
-//   0       magic: the 8 bytes "RTRSNAP\0" (same as v1)
+//   0       magic: the 8 bytes "RTRSNAP\0"
 //   8       format version (u32) = 2
 //   12      padding (u32) = 0
 //   16      ArenaFileHeader (fixed-size POD, CRC'd):
@@ -48,7 +48,7 @@ inline constexpr std::size_t kArenaMagicSize = 8;
 inline constexpr std::size_t kArenaSectionNameMax = 31;
 inline constexpr std::size_t kArenaSchemeNameMax = 63;
 
-/// The 8 magic bytes every snapshot (v1 and v2) starts with: "RTRSNAP\0".
+/// The 8 magic bytes every snapshot starts with: "RTRSNAP\0".
 [[nodiscard]] const std::uint8_t* snapshot_magic();
 
 /// A structurally invalid arena region: misaligned or out-of-bounds section
@@ -169,7 +169,8 @@ class ArenaWriter {
   void add(const std::string& name, const std::vector<T>& v) {
     add(name, v.data(), v.size());
   }
-  /// A byte-blob section (elem_size 1), e.g. a nested v1-encoded payload.
+  /// A byte-blob section (elem_size 1): a small "meta" section of scalars
+  /// encoded with SnapshotWriter.
   void add_bytes(const std::string& name, const std::uint8_t* data,
                  std::size_t size) {
     add_raw(name, data, size, 1);
@@ -238,7 +239,7 @@ class ArenaView {
     return vec<T>(name);
   }
 
-  /// A SnapshotReader over a byte-blob section (nested v1 payloads).
+  /// A SnapshotReader over a byte-blob ("meta") section.
   [[nodiscard]] SnapshotReader reader(const std::string& name) const;
 
   /// Recomputes every section CRC against the directory (owned loads and
@@ -255,6 +256,13 @@ class ArenaView {
   ArenaFileHeader header_{};
   std::vector<ArenaDirEntry> entries_;
 };
+
+/// Checks that CSR offsets frame `entries` elements: rising monotonically
+/// from 0 to `entries`.  A CRC-valid arena can still carry inconsistent
+/// offsets and every row walk assumes this shape, so each from_arena checks
+/// its offsets once at load.  Throws SnapshotArenaError naming `what`.
+void check_arena_csr(const FlatVec<std::int64_t>& off, std::size_t entries,
+                     const std::string& what);
 
 }  // namespace rtr
 

@@ -2,23 +2,35 @@
 
 #include <stdexcept>
 
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "util/bit_cost.h"
 
 namespace rtr {
 
-void save_r2_label(SnapshotWriter& w, const R2Label& label) {
-  save_tree_ref(w, label.tree);
-  save_tree_label(w, label.label_u);
-  save_tree_label(w, label.label_v);
+void R2Table::Builder::push(const R2Label& label) {
+  tree_.push_back(label.tree);
+  labels_.push(label.label_u);
+  labels_.push(label.label_v);
 }
 
-R2Label load_r2_label(SnapshotReader& r) {
-  R2Label label;
-  label.tree = load_tree_ref(r);
-  label.label_u = load_tree_label(r);
-  label.label_v = load_tree_label(r);
-  return label;
+R2Table R2Table::Builder::finish() {
+  R2Table t;
+  t.tree_ = std::move(tree_);
+  t.labels_ = labels_.finish();
+  return t;
+}
+
+void R2Table::save_arena(ArenaWriter& w, const std::string& prefix) const {
+  w.add(prefix + "tree", tree_);
+  labels_.save_arena(w, prefix + "lab_");
+}
+
+R2Table R2Table::from_arena(const ArenaView& a, const std::string& prefix,
+                            std::uint64_t count) {
+  R2Table t;
+  t.tree_ = a.vec<TreeRef>(prefix + "tree", count);
+  t.labels_ = TreeLabelTable::from_arena(a, prefix + "lab_", 2 * count);
+  return t;
 }
 
 DtStep dt_step(const CoverHierarchy& hierarchy, NodeId at, DtLeg& leg) {

@@ -12,49 +12,11 @@
 #include "audit/audit.h"
 #include "graph/apsp.h"
 #include "io/arena.h"
-#include "io/snapshot_format.h"
 #include "rtz/centers.h"
 #include "util/bit_cost.h"
 #include "util/parallel.h"
 
 namespace rtr {
-
-namespace {
-
-/// v1 staging decode for NameDict: the on-disk encoding is the sorted
-/// (key, payload) sequence, identical to the PR <= 4 vector-of-pairs bytes.
-template <typename V, typename LoadV>
-NameDict<V> load_dict(SnapshotReader& r, LoadV load_value) {
-  auto entries = r.template vec<std::pair<NodeName, V>>(
-      [&load_value](SnapshotReader& rr) {
-        const NodeName name = rr.i32();
-        return std::make_pair(name, load_value(rr));
-      },
-      8);
-  NameDict<V> d;
-  for (auto& [k, v] : entries) d.add(k, std::move(v));
-  d.finalize();
-  return d;
-}
-
-/// A CRC-valid arena can still carry inconsistent offsets; every probe
-/// assumes this shape, so check it once at load.
-void check_dict_csr(const FlatVec<std::int64_t>& off, std::size_t entries,
-                    const char* what) {
-  if (off.empty() || off.front() != 0 ||
-      off.back() != static_cast<std::int64_t>(entries)) {
-    throw SnapshotArenaError(std::string("arena: rtz3 ") + what +
-                             " offsets do not frame the entry arrays");
-  }
-  for (std::size_t i = 0; i + 1 < off.size(); ++i) {
-    if (off[i] > off[i + 1]) {
-      throw SnapshotArenaError(std::string("arena: rtz3 ") + what +
-                               " offsets decrease at row " + std::to_string(i));
-    }
-  }
-}
-
-}  // namespace
 
 Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
                        const NameAssignment& names, Rng& rng, Options options)
@@ -216,50 +178,21 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
 
 void Rtz3Scheme::adopt_tables(std::vector<NodeTables>&& tables) {
   const std::size_t n = tables.size();
-  std::vector<std::int64_t> ball_off(n + 1, 0), mem_off(n + 1, 0);
-  std::int64_t ball_total = 0, mem_total = 0, hop_total = 0;
+  std::vector<std::int64_t> ball_off{0}, mem_off{0};
+  std::vector<NodeName> ball_key;
+  TreeLabelTable::Builder ball_labels;
+  std::vector<NodeName> mem_key;
+  std::vector<TreeNodeTable> mem_tab;
+  std::vector<Port> mem_up;
   for (std::size_t v = 0; v < n; ++v) {
     const NodeTables& t = tables[v];
     if (t.member_out_tab.size() != t.member_up_port.size()) {
       throw std::invalid_argument(
           "rtz3: member dictionaries of one node disagree in size");
     }
-    ball_total += static_cast<std::int64_t>(t.ball_out_label.size());
-    mem_total += static_cast<std::int64_t>(t.member_out_tab.size());
-    ball_off[v + 1] = ball_total;
-    mem_off[v + 1] = mem_total;
-    for (std::size_t i = 0; i < t.ball_out_label.size(); ++i) {
-      hop_total += static_cast<std::int64_t>(
-          t.ball_out_label.value_at(i).light_hops.size());
-    }
-  }
-
-  std::vector<NodeName> ball_key;
-  std::vector<std::int32_t> ball_dfs;
-  std::vector<std::int64_t> hop_off;
-  std::vector<LightHop> hops;
-  ball_key.reserve(static_cast<std::size_t>(ball_total));
-  ball_dfs.reserve(static_cast<std::size_t>(ball_total));
-  hop_off.reserve(static_cast<std::size_t>(ball_total) + 1);
-  hops.reserve(static_cast<std::size_t>(hop_total));
-  hop_off.push_back(0);
-  std::vector<NodeName> mem_key;
-  std::vector<TreeNodeTable> mem_tab;
-  std::vector<Port> mem_up;
-  mem_key.reserve(static_cast<std::size_t>(mem_total));
-  mem_tab.reserve(static_cast<std::size_t>(mem_total));
-  mem_up.reserve(static_cast<std::size_t>(mem_total));
-
-  for (std::size_t v = 0; v < n; ++v) {
-    const NodeTables& t = tables[v];
     for (std::size_t i = 0; i < t.ball_out_label.size(); ++i) {
       ball_key.push_back(t.ball_out_label.key_at(i));
-      const TreeLabel& lab = t.ball_out_label.value_at(i);
-      ball_dfs.push_back(lab.dfs_in);
-      for (const auto& [dfs, port] : lab.light_hops) {
-        hops.push_back(LightHop{dfs, port});
-      }
-      hop_off.push_back(static_cast<std::int64_t>(hops.size()));
+      ball_labels.push(t.ball_out_label.value_at(i));
     }
     for (std::size_t i = 0; i < t.member_out_tab.size(); ++i) {
       if (t.member_out_tab.key_at(i) != t.member_up_port.key_at(i)) {
@@ -270,29 +203,18 @@ void Rtz3Scheme::adopt_tables(std::vector<NodeTables>&& tables) {
       mem_tab.push_back(t.member_out_tab.value_at(i));
       mem_up.push_back(t.member_up_port.value_at(i));
     }
+    ball_off.push_back(static_cast<std::int64_t>(ball_key.size()));
+    mem_off.push_back(static_cast<std::int64_t>(mem_key.size()));
   }
 
   ball_off_ = std::move(ball_off);
   ball_key_ = std::move(ball_key);
-  ball_dfs_ = std::move(ball_dfs);
-  ball_hop_off_ = std::move(hop_off);
-  ball_hops_ = std::move(hops);
+  ball_labels_ = ball_labels.finish();
   member_off_ = std::move(mem_off);
   member_key_ = std::move(mem_key);
   member_tab_ = std::move(mem_tab);
   member_up_ = std::move(mem_up);
   arena_.reset();
-}
-
-TreeLabel Rtz3Scheme::label_at(std::size_t entry) const {
-  TreeLabel label;
-  label.dfs_in = ball_dfs_[entry];
-  const auto lo = static_cast<std::size_t>(ball_hop_off_[entry]);
-  const auto hi = static_cast<std::size_t>(ball_hop_off_[entry + 1]);
-  for (std::size_t i = lo; i < hi; ++i) {
-    label.light_hops.emplace_back(ball_hops_[i].dfs, ball_hops_[i].port);
-  }
-  return label;
 }
 
 LegStep Rtz3Scheme::start_leg(NodeId at, const RtzAddress& target,
@@ -448,41 +370,24 @@ void Rtz3Scheme::audit(AuditReport& report) const {
   balls_.audit(report);
 
   const auto n = static_cast<std::size_t>(graph_.node_count());
-  report.check("tables-sized",
-               addresses_.size() == n && ball_off_.size() == n + 1 &&
-                   member_off_.size() == n + 1 &&
-                   ball_dfs_.size() == ball_key_.size() &&
-                   ball_hop_off_.size() == ball_key_.size() + 1 &&
-                   member_tab_.size() == member_key_.size() &&
-                   member_up_.size() == member_key_.size() &&
-                   names_.node_count() == graph_.node_count(),
+  const bool sized = addresses_.size() == n && ball_off_.size() == n + 1 &&
+                     member_off_.size() == n + 1 &&
+                     ball_labels_.size() == ball_key_.size() &&
+                     member_tab_.size() == member_key_.size() &&
+                     member_up_.size() == member_key_.size() &&
+                     names_.node_count() == graph_.node_count();
+  report.check("tables-sized", sized,
                "one address and one table row per node, parallel payload "
                "arrays sized to their key arrays");
-  if (addresses_.size() != n || ball_off_.size() != n + 1 ||
-      member_off_.size() != n + 1 ||
-      ball_dfs_.size() != ball_key_.size() ||
-      ball_hop_off_.size() != ball_key_.size() + 1 ||
-      member_tab_.size() != member_key_.size() ||
-      member_up_.size() != member_key_.size() ||
-      static_cast<std::size_t>(balls_.node_count()) != n ||
+  if (!sized || static_cast<std::size_t>(balls_.node_count()) != n ||
       balls_.nearest_center.size() != n) {
     return;  // per-node walks below depend on the sizing above
   }
 
   // CSR shape of the dictionary offsets: the row walks below assume it.
-  const auto csr_ok = [](const FlatVec<std::int64_t>& off,
-                         std::size_t entries) {
-    if (off.front() != 0 || off.back() != static_cast<std::int64_t>(entries)) {
-      return false;
-    }
-    for (std::size_t i = 0; i + 1 < off.size(); ++i) {
-      if (off[i] > off[i + 1]) return false;
-    }
-    return true;
-  };
-  const bool offsets_ok = csr_ok(ball_off_, ball_key_.size()) &&
-                          csr_ok(member_off_, member_key_.size()) &&
-                          csr_ok(ball_hop_off_, ball_hops_.size());
+  const bool offsets_ok = csr_framed(ball_off_, ball_key_.size()) &&
+                          csr_framed(member_off_, member_key_.size()) &&
+                          ball_labels_.framed();
   report.check("dict-offsets-wellformed", offsets_ok,
                "dictionary CSR offsets must rise monotonically from 0 to "
                "their entry array sizes");
@@ -558,145 +463,6 @@ void Rtz3Scheme::audit(AuditReport& report) const {
                std::move(populated_detail));
 }
 
-// ---------------------------------------------------------------- snapshot --
-
-void save_rtz_address(SnapshotWriter& w, const RtzAddress& a) {
-  w.i32(a.name);
-  w.i32(a.center_index);
-  save_tree_label(w, a.center_label);
-}
-
-RtzAddress load_rtz_address(SnapshotReader& r) {
-  RtzAddress a;
-  a.name = r.i32();
-  a.center_index = r.i32();
-  a.center_label = load_tree_label(r);
-  return a;
-}
-
-namespace {
-
-/// v1 stream encoding of the ball system: replayed from the CSR arrays with
-/// per-row temporaries so the bytes stay identical to the historical
-/// vector-of-rows encoding (cold path -- only v1 saves pay the copies).
-void save_ball_system(SnapshotWriter& w, const BallSystem& b) {
-  w.vec_i32(b.centers.to_vector());
-  w.vec_i32(b.center_index_of.to_vector());
-  w.vec_i64(b.r_to_centers.to_vector());
-  w.vec_i32(b.nearest_center.to_vector());
-  const auto n = static_cast<std::size_t>(b.node_count());
-  const auto save_rows = [&w, n](const auto& row_of) {
-    w.u64(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      const auto row = row_of(static_cast<NodeId>(v));
-      w.vec_i32(std::vector<NodeId>(row.begin(), row.end()));
-    }
-  };
-  save_rows([&b](NodeId v) { return b.ball(v); });
-  save_rows([&b](NodeId v) { return b.cluster(v); });
-}
-
-BallSystem load_ball_system(SnapshotReader& r) {
-  BallSystem b;
-  b.centers = r.vec_i32();
-  b.center_index_of = r.vec_i32();
-  b.r_to_centers = r.vec_i64();
-  b.nearest_center = r.vec_i32();
-  auto nested = [](SnapshotReader& rr) { return rr.vec_i32(); };
-  const auto ball_rows = r.vec<std::vector<NodeId>>(nested, 8);
-  const auto cluster_rows = r.vec<std::vector<NodeId>>(nested, 8);
-  if (cluster_rows.size() != ball_rows.size()) {
-    throw std::invalid_argument(
-        "rtz3 snapshot: ball and cluster row counts disagree");
-  }
-  b.adopt_rows(ball_rows, cluster_rows);
-  return b;
-}
-
-}  // namespace
-
-void Rtz3Scheme::save(SnapshotWriter& w) const {
-  names_.save(w);
-  save_ball_system(w, balls_);
-  w.vec(addresses_, save_rtz_address);
-  const std::size_t n = addresses_.size();
-  const auto cc = static_cast<std::size_t>(center_count_);
-  w.u64(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    // Per-node rows replayed from the flat arrays, byte-identical to the
-    // historical per-node vector/dict encodings.
-    w.u64(cc);
-    for (std::size_t ci = 0; ci < cc; ++ci) w.i32(center_up_port_[v * cc + ci]);
-    w.u64(cc);
-    for (std::size_t ci = 0; ci < cc; ++ci) {
-      save_tree_node_table(w, center_tree_tab_[v * cc + ci]);
-    }
-    const auto blo = static_cast<std::size_t>(ball_off_[v]);
-    const auto bhi = static_cast<std::size_t>(ball_off_[v + 1]);
-    w.u64(bhi - blo);
-    for (std::size_t e = blo; e < bhi; ++e) {
-      w.i32(ball_key_[e]);
-      save_tree_label(w, label_at(e));
-    }
-    const auto mlo = static_cast<std::size_t>(member_off_[v]);
-    const auto mhi = static_cast<std::size_t>(member_off_[v + 1]);
-    w.u64(mhi - mlo);
-    for (std::size_t e = mlo; e < mhi; ++e) {
-      w.i32(member_key_[e]);
-      save_tree_node_table(w, member_tab_[e]);
-    }
-    w.u64(mhi - mlo);
-    for (std::size_t e = mlo; e < mhi; ++e) {
-      w.i32(member_key_[e]);
-      w.i32(member_up_[e]);
-    }
-  }
-  w.i32(resamples_used_);
-  w.i64(node_space_);
-  w.i64(port_space_);
-}
-
-Rtz3Scheme::Rtz3Scheme(SnapshotReader& r, const Digraph& g)
-    : graph_(g), names_(NameAssignment::load(r)) {
-  balls_ = load_ball_system(r);
-  addresses_ = r.vec<RtzAddress>(load_rtz_address, 8);
-  const std::uint64_t n = r.u64();
-  if (n != static_cast<std::uint64_t>(g.node_count())) {
-    throw std::invalid_argument(
-        "rtz3 snapshot: table count does not match the graph");
-  }
-  center_count_ = static_cast<std::int64_t>(balls_.centers.size());
-  const auto cc = static_cast<std::size_t>(center_count_);
-  std::vector<Port> ctr_up;
-  std::vector<TreeNodeTable> ctr_tab;
-  ctr_up.reserve(static_cast<std::size_t>(n) * cc);
-  ctr_tab.reserve(static_cast<std::size_t>(n) * cc);
-  std::vector<NodeTables> tables;
-  tables.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto up_row = r.vec_i32();
-    const auto tab_row = r.vec<TreeNodeTable>(load_tree_node_table, 8);
-    if (up_row.size() != cc || tab_row.size() != cc) {
-      throw std::invalid_argument(
-          "rtz3 snapshot: center arrays not sized to the center set");
-    }
-    ctr_up.insert(ctr_up.end(), up_row.begin(), up_row.end());
-    ctr_tab.insert(ctr_tab.end(), tab_row.begin(), tab_row.end());
-    NodeTables t;
-    t.ball_out_label = load_dict<TreeLabel>(r, load_tree_label);
-    t.member_out_tab = load_dict<TreeNodeTable>(r, load_tree_node_table);
-    t.member_up_port = load_dict<Port>(
-        r, [](SnapshotReader& rr) -> Port { return rr.i32(); });
-    tables.push_back(std::move(t));
-  }
-  center_up_port_ = std::move(ctr_up);
-  center_tree_tab_ = std::move(ctr_tab);
-  adopt_tables(std::move(tables));
-  resamples_used_ = r.i32();
-  node_space_ = r.i64();
-  port_space_ = r.i64();
-}
-
 // ------------------------------------------------------------------- arena --
 
 void Rtz3Scheme::save_arena(ArenaWriter& w, const std::string& prefix) const {
@@ -705,35 +471,22 @@ void Rtz3Scheme::save_arena(ArenaWriter& w, const std::string& prefix) const {
   w.add(prefix + "ctr_tab", center_tree_tab_);
   w.add(prefix + "ball_off", ball_off_);
   w.add(prefix + "ball_key", ball_key_);
-  w.add(prefix + "ball_dfs", ball_dfs_);
-  w.add(prefix + "ball_hop_off", ball_hop_off_);
-  w.add(prefix + "ball_hops", ball_hops_);
+  ball_labels_.save_arena(w, prefix + "ball_");
   w.add(prefix + "mem_off", member_off_);
   w.add(prefix + "mem_key", member_key_);
   w.add(prefix + "mem_tab", member_tab_);
   w.add(prefix + "mem_up", member_up_);
 
-  // Addresses, CSR-packed like the ball labels (the name field is implied:
-  // entry v carries names.name_of(v)).
-  const std::size_t n = addresses_.size();
-  std::vector<std::int32_t> actr(n), adfs(n);
-  std::vector<std::int64_t> ahop_off;
-  std::vector<LightHop> ahops;
-  ahop_off.reserve(n + 1);
-  ahop_off.push_back(0);
-  for (std::size_t v = 0; v < n; ++v) {
-    const RtzAddress& a = addresses_[v];
-    actr[v] = a.center_index;
-    adfs[v] = a.center_label.dfs_in;
-    for (const auto& [dfs, port] : a.center_label.light_hops) {
-      ahops.push_back(LightHop{dfs, port});
-    }
-    ahop_off.push_back(static_cast<std::int64_t>(ahops.size()));
+  // Addresses: center indices plus a label table (the name field is
+  // implied: entry v carries names.name_of(v)).
+  std::vector<std::int32_t> actr;
+  TreeLabelTable::Builder alabels;
+  for (const RtzAddress& a : addresses_) {
+    actr.push_back(a.center_index);
+    alabels.push(a.center_label);
   }
   w.add(prefix + "addr_center", actr);
-  w.add(prefix + "addr_dfs", adfs);
-  w.add(prefix + "addr_hop_off", ahop_off);
-  w.add(prefix + "addr_hops", ahops);
+  alabels.finish().save_arena(w, prefix + "addr_");
 
   SnapshotWriter meta;
   meta.i32(resamples_used_);
@@ -759,37 +512,25 @@ Rtz3Scheme Rtz3Scheme::from_arena(const ArenaView& a, const std::string& prefix,
   s.center_tree_tab_ = a.vec<TreeNodeTable>(prefix + "ctr_tab", cells);
   s.ball_off_ = a.vec<std::int64_t>(prefix + "ball_off", n + 1);
   s.ball_key_ = a.vec<NodeName>(prefix + "ball_key");
-  s.ball_dfs_ =
-      a.vec<std::int32_t>(prefix + "ball_dfs", s.ball_key_.size());
-  s.ball_hop_off_ =
-      a.vec<std::int64_t>(prefix + "ball_hop_off", s.ball_key_.size() + 1);
-  s.ball_hops_ = a.vec<LightHop>(prefix + "ball_hops");
+  s.ball_labels_ =
+      TreeLabelTable::from_arena(a, prefix + "ball_", s.ball_key_.size());
   s.member_off_ = a.vec<std::int64_t>(prefix + "mem_off", n + 1);
   s.member_key_ = a.vec<NodeName>(prefix + "mem_key");
   s.member_tab_ =
       a.vec<TreeNodeTable>(prefix + "mem_tab", s.member_key_.size());
   s.member_up_ = a.vec<Port>(prefix + "mem_up", s.member_key_.size());
-  check_dict_csr(s.ball_off_, s.ball_key_.size(), "ball dictionary");
-  check_dict_csr(s.member_off_, s.member_key_.size(), "member dictionary");
-  check_dict_csr(s.ball_hop_off_, s.ball_hops_.size(), "label hop");
+  check_arena_csr(s.ball_off_, s.ball_key_.size(), prefix + "ball");
+  check_arena_csr(s.member_off_, s.member_key_.size(), prefix + "mem");
 
   // Rebuild the O(n) address list (small: one label per node, hops inline
   // for the dominant <= 8 case).
   const auto actr = a.vec<std::int32_t>(prefix + "addr_center", n);
-  const auto adfs = a.vec<std::int32_t>(prefix + "addr_dfs", n);
-  const auto ahop_off = a.vec<std::int64_t>(prefix + "addr_hop_off", n + 1);
-  const auto ahops = a.vec<LightHop>(prefix + "addr_hops");
-  check_dict_csr(ahop_off, ahops.size(), "address hop");
+  const TreeLabelTable alabels =
+      TreeLabelTable::from_arena(a, prefix + "addr_", n);
   s.addresses_.resize(static_cast<std::size_t>(n));
   for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-    RtzAddress& addr = s.addresses_[v];
-    addr.name = names.name_of(static_cast<NodeId>(v));
-    addr.center_index = actr[v];
-    addr.center_label.dfs_in = adfs[v];
-    for (auto i = static_cast<std::size_t>(ahop_off[v]);
-         i < static_cast<std::size_t>(ahop_off[v + 1]); ++i) {
-      addr.center_label.light_hops.emplace_back(ahops[i].dfs, ahops[i].port);
-    }
+    s.addresses_[v] = RtzAddress{names.name_of(static_cast<NodeId>(v)),
+                                 actr[v], alabels.at(v)};
   }
 
   SnapshotReader meta = a.reader(prefix + "meta");

@@ -61,10 +61,9 @@ class ArenaWriter;
 struct ChurnDelta;   // graph/churn_delta.h
 
 /// A small per-node staging dictionary keyed by NodeName: one vector of
-/// (key, payload) pairs, sorted by finalize().  Construction, repair and the
-/// v1 streamed decode scatter into it; adopt_tables() then flattens it into
-/// the CSR arrays the scheme serves every probe from (see the header
-/// comment).
+/// (key, payload) pairs, sorted by finalize().  Construction and repair
+/// scatter into it; adopt_tables() then flattens it into the CSR arrays the
+/// scheme serves every probe from (see the header comment).
 template <typename V>
 class NameDict {
  public:
@@ -81,7 +80,7 @@ class NameDict {
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  /// Entry access in sorted-key order (snapshot encode, flattening).
+  /// Entry access in sorted-key order (flattening).
   [[nodiscard]] NodeName key_at(std::size_t i) const {
     return entries_[i].first;
   }
@@ -99,11 +98,6 @@ struct RtzAddress {
   std::int32_t center_index = -1;  // index into the scheme's center list
   TreeLabel center_label;          // v's label in OutTree(center)
 };
-
-/// Snapshot encoding of R3 addresses; shared by the TINN schemes that store
-/// them in their dictionaries.
-void save_rtz_address(SnapshotWriter& w, const RtzAddress& a);
-[[nodiscard]] RtzAddress load_rtz_address(SnapshotReader& r);
 
 /// Phase of one routing leg.
 enum class LegPhase : std::uint8_t {
@@ -145,12 +139,6 @@ class Rtz3Scheme {
   Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
              const NameAssignment& names, Rng& rng)
       : Rtz3Scheme(g, metric, names, rng, Options{}) {}
-
-  /// Snapshot path: rehydrates tables saved with save() against the same
-  /// graph (the caller guarantees `g` outlives the scheme, exactly as the
-  /// build constructor does).
-  Rtz3Scheme(SnapshotReader& r, const Digraph& g);
-  void save(SnapshotWriter& w) const;
 
   /// Appends every table as typed arena sections under `prefix` (e.g.
   /// "scheme/" standalone, "scheme/s/" as the stretch6 substrate).
@@ -258,6 +246,8 @@ class Rtz3Scheme {
 
   [[nodiscard]] TableStats table_stats() const;
   [[nodiscard]] const BallSystem& balls() const { return balls_; }
+  /// The naming every dictionary is keyed by.
+  [[nodiscard]] const NameAssignment& names() const { return names_; }
   [[nodiscard]] int resamples_used() const { return resamples_used_; }
   [[nodiscard]] std::string name() const { return "rtz3(name-dep)"; }
 
@@ -275,8 +265,8 @@ class Rtz3Scheme {
  private:
   friend struct AuditTestPeer;
 
-  /// Staging shape used while building and while decoding a v1 stream; the
-  /// dictionaries are flattened into the CSR arrays by adopt_tables().
+  /// Staging shape used while building and repairing; the dictionaries are
+  /// flattened into the CSR arrays by adopt_tables().
   struct NodeTables {
     // Own ball: labels of members in this node's ball out-tree.
     NameDict<TreeLabel> ball_out_label;
@@ -290,11 +280,13 @@ class Rtz3Scheme {
       : graph_(g), names_(names) {}
 
   /// Flattens finalized staging dictionaries into the CSR arrays (identical
-  /// output for the build path and the v1 decode: both scatter in sorted-key
+  /// output for the build and repair paths: both scatter in sorted-key
   /// order).
   void adopt_tables(std::vector<NodeTables>&& tables);
 
-  [[nodiscard]] TreeLabel label_at(std::size_t entry) const;
+  [[nodiscard]] TreeLabel label_at(std::size_t entry) const {
+    return ball_labels_.at(entry);
+  }
 
   static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
   [[nodiscard]] std::size_t member_entry(NodeId at, NodeName root) const {
@@ -319,12 +311,10 @@ class Rtz3Scheme {
   FlatVec<TreeNodeTable> center_tree_tab_;  // this node in each OutTree(a)
   // Own-ball label dictionary, CSR over nodes: row v's sorted member names
   // are ball_key_[ball_off_[v] .. ball_off_[v+1]); entry e's label is
-  // (ball_dfs_[e], ball_hops_[ball_hop_off_[e] .. ball_hop_off_[e+1])).
+  // ball_labels_.at(e).
   FlatVec<std::int64_t> ball_off_;   // n + 1
   FlatVec<NodeName> ball_key_;
-  FlatVec<std::int32_t> ball_dfs_;   // parallel to ball_key_
-  FlatVec<std::int64_t> ball_hop_off_;  // ball_key_.size() + 1
-  FlatVec<LightHop> ball_hops_;
+  TreeLabelTable ball_labels_;       // parallel to ball_key_
   // Membership dictionaries, CSR over nodes: row v's sorted ball-root names
   // are member_key_[member_off_[v] .. member_off_[v+1]); POD payloads are
   // parallel (entry e: out-tree table member_tab_[e], up-port member_up_[e]).

@@ -135,8 +135,9 @@ void EpochManager::publish_epoch_shm(std::uint64_t seq,
   try {
     publish_snapshot_shm(path, shm_name);
   } catch (const std::exception&) {
-    // No shm on this host, a v1 cache file, or a failed save upstream:
-    // sibling processes fall back to the snapshot file.  Serving wins.
+    // No shm on this host, or a failed save upstream: sibling processes
+    // fall back to the snapshot file.  Serving wins; the counter shows it.
+    shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   {
@@ -164,11 +165,15 @@ std::shared_ptr<const Epoch> EpochManager::repair_epoch(
                               base.handle.graph(), ctx, delta);
   } catch (const std::exception&) {
     // A failed repair (including a failed RTR_AUDIT_ON_BUILD audit) is a
-    // fallback, never an outage: the counters expose it, the full build
-    // supplies the epoch.
-    scheme = nullptr;
+    // defect, counted apart from policy declines -- but never an outage:
+    // the full build supplies the epoch.
+    repair_failures_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
   }
-  if (scheme == nullptr) return nullptr;
+  if (scheme == nullptr) {
+    repair_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
   // Repaired epochs deliberately skip the snapshot cache and shm: they are
   // transient, and recovery after a crash replays from the last full build.
   SchemeHandle handle(graph, names_, scheme);
@@ -216,7 +221,6 @@ bool EpochManager::begin_rebuild(Digraph next) {
             if (epoch != nullptr) {
               repaired = true;
             } else {
-              repair_fallbacks_.fetch_add(1, std::memory_order_relaxed);
               epoch = build_epoch(seq, std::move(graph));
             }
           } else {
@@ -302,6 +306,9 @@ EpochManager::Counters EpochManager::counters() const {
   c.shm_published = shm_published_count_.load(std::memory_order_relaxed);
   c.repairs = repairs_.load(std::memory_order_relaxed);
   c.repair_fallbacks = repair_fallbacks_.load(std::memory_order_relaxed);
+  c.repair_failures = repair_failures_.load(std::memory_order_relaxed);
+  c.shm_publish_failures =
+      shm_publish_failures_.load(std::memory_order_relaxed);
   c.last_rebuild_ms = last_rebuild_ms_.load(std::memory_order_relaxed);
   c.last_repair_ms = last_repair_ms_.load(std::memory_order_relaxed);
   return c;

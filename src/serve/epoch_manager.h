@@ -87,10 +87,10 @@ struct EpochManagerOptions {
   /// Metric backend per epoch: kAuto switches from the dense APSP matrix to
   /// bounded-Dijkstra sparse rows past kDenseMetricAutoThreshold nodes.
   MetricMode metric_mode = MetricMode::kAuto;
-  /// Warm-start epochs by mmap'ing cached v2 arena snapshots in place
-  /// (O(ms) at any n, payload CRCs unverified) instead of decoding them
-  /// into owning buffers.  v1 or damaged cache files silently fall back to
-  /// the owned load, then to a rebuild.  Requires cache_dir.
+  /// Warm-start epochs by mmap'ing cached snapshots in place (O(ms) at any
+  /// n, payload CRCs unverified) instead of reading them into owning
+  /// buffers.  Unreadable or damaged cache files are a miss and rebuild.
+  /// Requires cache_dir.
   bool mapped_snapshots = false;
   /// When non-empty (and the snapshot cache is enabled), every epoch's
   /// snapshot is also published to POSIX shared memory as
@@ -186,9 +186,17 @@ class EpochManager {
     std::uint64_t shm_published = 0;  ///< epochs posted to shared memory
     std::uint64_t repairs = 0;  ///< epochs published via incremental repair
     /// Non-empty deltas that went through a full build despite repair being
-    /// enabled: over repair_max_fraction, declined by the scheme's hook, or
-    /// a failed repair attempt.
+    /// enabled by policy: over repair_max_fraction, or declined by the
+    /// scheme's hook (no repair hook at all counts here too).
     std::uint64_t repair_fallbacks = 0;
+    /// Repair attempts that threw -- a defect, not a policy decline (e.g. a
+    /// repaired scheme failing its RTR_AUDIT_ON_BUILD audit).  The full
+    /// build still supplies the epoch.
+    std::uint64_t repair_failures = 0;
+    /// Epochs whose snapshot could not be published to shared memory (no
+    /// shm on the host, a failed cache save upstream); sibling processes
+    /// fall back to the snapshot file.
+    std::uint64_t shm_publish_failures = 0;
     /// Wall ms of the most recent background epoch preprocess (repair or
     /// full build; 0 until the first rebuild completes).
     double last_rebuild_ms = 0.0;
@@ -244,6 +252,8 @@ class EpochManager {
   std::atomic<std::uint64_t> shm_published_count_{0};
   std::atomic<std::uint64_t> repairs_{0};
   std::atomic<std::uint64_t> repair_fallbacks_{0};
+  std::atomic<std::uint64_t> repair_failures_{0};
+  std::atomic<std::uint64_t> shm_publish_failures_{0};
   std::atomic<double> last_rebuild_ms_{0.0};
   std::atomic<double> last_repair_ms_{0.0};
 };

@@ -485,6 +485,9 @@ Json RouteServer::stats_json() const {
   doc.set("epochs_built", static_cast<std::int64_t>(r.epochs_built));
   doc.set("repairs", static_cast<std::int64_t>(r.repairs));
   doc.set("repair_fallbacks", static_cast<std::int64_t>(r.repair_fallbacks));
+  doc.set("repair_failures", static_cast<std::int64_t>(r.repair_failures));
+  doc.set("shm_publish_failures",
+          static_cast<std::int64_t>(r.shm_publish_failures));
   doc.set("last_rebuild_ms", r.last_rebuild_ms);
   doc.set("last_repair_ms", r.last_repair_ms);
   const auto epoch = source_.current_epoch();

@@ -46,6 +46,8 @@ class ServingSource {
     std::uint64_t epochs_built = 0;
     std::uint64_t repairs = 0;
     std::uint64_t repair_fallbacks = 0;
+    std::uint64_t repair_failures = 0;
+    std::uint64_t shm_publish_failures = 0;
     double last_rebuild_ms = 0.0;
     double last_repair_ms = 0.0;
   };
@@ -76,8 +78,10 @@ class ManagerServingSource final : public ServingSource {
   }
   [[nodiscard]] RebuildStats rebuild_stats() const override {
     const EpochManager::Counters c = manager_.counters();
-    return RebuildStats{c.epochs_built, c.repairs, c.repair_fallbacks,
-                        c.last_rebuild_ms, c.last_repair_ms};
+    return RebuildStats{c.epochs_built,         c.repairs,
+                        c.repair_fallbacks,     c.repair_failures,
+                        c.shm_publish_failures, c.last_rebuild_ms,
+                        c.last_repair_ms};
   }
 
  private:

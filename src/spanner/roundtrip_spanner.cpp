@@ -14,7 +14,7 @@ SpannerResult extract_roundtrip_spanner(const Digraph& g,
   std::set<std::pair<NodeId, NodeId>> edges;
   for (std::int32_t level = 0; level < hierarchy.level_count(); ++level) {
     for (const DoubleTree& tree : hierarchy.level(level).trees) {
-      const std::vector<NodeId>& members = tree.members();
+      const FlatVec<NodeId>& members = tree.members();
       for (std::int32_t i = 0; i < tree.member_count(); ++i) {
         const NodeId v = members[static_cast<std::size_t>(i)];
         // Out-tree arc: parent -> member.

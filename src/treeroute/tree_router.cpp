@@ -7,7 +7,7 @@
 #include <string>
 
 #include "audit/audit.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "util/bit_cost.h"
 
 namespace rtr {
@@ -27,9 +27,9 @@ TreeRouter::TreeRouter(NodeId root, std::vector<NodeId> members,
                          std::greater_equal<>{}) != members_.end()) {
     throw std::invalid_argument("TreeRouter: members not sorted and unique");
   }
-  tables_.assign(m, TreeNodeTable{});
-  heavy_child_.assign(m, -1);
   if (m == 0) return;
+  std::vector<TreeNodeTable> tables(m);
+  std::vector<std::int32_t> heavy_child(m, -1);
   const std::int32_t root_index = index_of(root_);
   if (root_index < 0 || parent_[static_cast<std::size_t>(root_index)] != -1) {
     throw std::invalid_argument("TreeRouter: root missing or has a parent");
@@ -64,7 +64,7 @@ TreeRouter::TreeRouter(NodeId root, std::vector<NodeId> members,
   while (!todo.empty()) {
     const std::int32_t v = todo.back();
     todo.pop_back();
-    tables_[static_cast<std::size_t>(v)].dfs_in =
+    tables[static_cast<std::size_t>(v)].dfs_in =
         static_cast<std::int32_t>(preorder.size());
     preorder.push_back(v);
     for (std::int32_t c = child_begin[static_cast<std::size_t>(v)];
@@ -93,11 +93,39 @@ TreeRouter::TreeRouter(NodeId root, std::vector<NodeId> members,
       const std::int32_t child = children[static_cast<std::size_t>(c)];
       if (subtree[static_cast<std::size_t>(child)] > best) {
         best = subtree[static_cast<std::size_t>(child)];
-        heavy_child_[v] = child;
-        tables_[v].heavy_port = parent_port_[static_cast<std::size_t>(child)];
+        heavy_child[v] = child;
+        tables[v].heavy_port = parent_port_[static_cast<std::size_t>(child)];
       }
     }
   }
+  tables_ = std::move(tables);
+  heavy_child_ = std::move(heavy_child);
+}
+
+TreeRouter TreeRouter::adopt(NodeId root, FlatVec<NodeId> members,
+                             FlatVec<TreeNodeTable> tables,
+                             FlatVec<std::int32_t> parent,
+                             FlatVec<Port> parent_port,
+                             FlatVec<std::int32_t> heavy_child) {
+  const auto m = members.size();
+  const auto in_range = [m](std::int32_t i) {
+    return i >= -1 && i < static_cast<std::int64_t>(m);
+  };
+  if (tables.size() != m || parent.size() != m || parent_port.size() != m ||
+      heavy_child.size() != m ||
+      !std::all_of(parent.begin(), parent.end(), in_range) ||
+      !std::all_of(heavy_child.begin(), heavy_child.end(), in_range)) {
+    throw std::invalid_argument(
+        "TreeRouter: adopted arrays disagree with the member count");
+  }
+  TreeRouter r;
+  r.root_ = root;
+  r.members_ = std::move(members);
+  r.tables_ = std::move(tables);
+  r.parent_ = std::move(parent);
+  r.parent_port_ = std::move(parent_port);
+  r.heavy_child_ = std::move(heavy_child);
+  return r;
 }
 
 namespace {
@@ -248,76 +276,6 @@ void TreeRouter::audit(AuditReport& report) const {
   }
 }
 
-void save_tree_node_table(SnapshotWriter& w, const TreeNodeTable& t) {
-  w.i32(t.dfs_in);
-  w.i32(t.heavy_port);
-}
-
-TreeNodeTable load_tree_node_table(SnapshotReader& r) {
-  TreeNodeTable t;
-  t.dfs_in = r.i32();
-  t.heavy_port = r.i32();
-  return t;
-}
-
-void save_tree_label(SnapshotWriter& w, const TreeLabel& label) {
-  // Same wire layout as SnapshotWriter::vec (u64 count + elements): the
-  // small-buffer LightHops is a storage change only, snapshots are unchanged.
-  w.i32(label.dfs_in);
-  w.u64(label.light_hops.size());
-  for (const auto& [tail_dfs, port] : label.light_hops) {
-    w.i32(tail_dfs);
-    w.i32(port);
-  }
-}
-
-TreeLabel load_tree_label(SnapshotReader& r) {
-  TreeLabel label;
-  label.dfs_in = r.i32();
-  // Route through SnapshotReader::vec so the implausible-count guard stays
-  // in force, then repack into the small-buffer representation.
-  const auto hops = r.vec<std::pair<std::int32_t, Port>>(
-      [](SnapshotReader& rr) {
-        const std::int32_t dfs = rr.i32();
-        const Port port = rr.i32();
-        return std::make_pair(dfs, port);
-      },
-      8);
-  for (const auto& hop : hops) label.light_hops.push_back(hop);
-  return label;
-}
-
-void TreeRouter::save(SnapshotWriter& w) const {
-  w.i32(root_);
-  w.vec_i32(members_);
-  w.vec(tables_, save_tree_node_table);
-  w.vec_i32(parent_);
-  w.vec_i32(parent_port_);
-  w.vec_i32(heavy_child_);
-}
-
-TreeRouter::TreeRouter(SnapshotReader& r)
-    : root_(r.i32()),
-      members_(r.vec_i32()),
-      tables_(r.vec<TreeNodeTable>(load_tree_node_table, 8)),
-      parent_(r.vec_i32()),
-      parent_port_(r.vec_i32()),
-      heavy_child_(r.vec_i32()) {
-  // Every later access indexes these arrays by member index, so a layout
-  // that disagrees with itself is rejected here rather than misread.
-  const auto m = members_.size();
-  const auto in_range = [m](std::int32_t i) {
-    return i >= -1 && i < static_cast<std::int64_t>(m);
-  };
-  if (tables_.size() != m || parent_.size() != m || parent_port_.size() != m ||
-      heavy_child_.size() != m ||
-      !std::all_of(parent_.begin(), parent_.end(), in_range) ||
-      !std::all_of(heavy_child_.begin(), heavy_child_.end(), in_range)) {
-    throw SnapshotFormatError(
-        "snapshot: tree router arrays disagree with its member count");
-  }
-}
-
 TreeLabel TreeRouter::label(NodeId v) const {
   const std::int32_t i = index_of(v);
   if (i < 0) throw std::invalid_argument("TreeRouter::label: not a member");
@@ -339,6 +297,56 @@ TreeLabel TreeRouter::label_at(std::int32_t i) const {
   }
   std::reverse(lab.light_hops.begin(), lab.light_hops.end());
   return lab;
+}
+
+void TreeLabelTable::Builder::push(const TreeLabel& label) {
+  dfs_.push_back(label.dfs_in);
+  for (const auto& [dfs, port] : label.light_hops) {
+    hops_.push_back(LightHop{dfs, port});
+  }
+  hop_off_.push_back(static_cast<std::int64_t>(hops_.size()));
+}
+
+TreeLabelTable TreeLabelTable::Builder::finish() {
+  TreeLabelTable t;
+  t.dfs_ = std::move(dfs_);
+  t.hop_off_ = std::move(hop_off_);
+  t.hops_ = std::move(hops_);
+  return t;
+}
+
+TreeLabel TreeLabelTable::at(std::size_t e) const {
+  TreeLabel label;
+  label.dfs_in = dfs_[e];
+  const auto lo = static_cast<std::size_t>(hop_off_[e]);
+  const auto hi = static_cast<std::size_t>(hop_off_[e + 1]);
+  for (std::size_t i = lo; i < hi; ++i) {
+    label.light_hops.emplace_back(hops_[i].dfs, hops_[i].port);
+  }
+  return label;
+}
+
+bool TreeLabelTable::framed() const {
+  return hop_off_.size() == dfs_.size() + 1 &&
+         csr_framed(hop_off_, hops_.size());
+}
+
+void TreeLabelTable::save_arena(ArenaWriter& w,
+                                const std::string& prefix) const {
+  w.add(prefix + "dfs", dfs_);
+  w.add(prefix + "hop_off", hop_off_);
+  w.add(prefix + "hops", hops_);
+}
+
+TreeLabelTable TreeLabelTable::from_arena(const ArenaView& a,
+                                          const std::string& prefix,
+                                          std::uint64_t count) {
+  TreeLabelTable t;
+  t.dfs_ = a.vec<std::int32_t>(prefix + "dfs", count);
+  t.hop_off_ = a.vec<std::int64_t>(prefix + "hop_off", count + 1);
+  t.hops_ = a.vec<LightHop>(prefix + "hops");
+  check_arena_csr(t.hop_off_, t.hops_.size(), prefix + "hop");
+  return t;
 }
 
 Port tree_next_port(const TreeNodeTable& at, const TreeLabel& target) {

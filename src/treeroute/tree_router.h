@@ -30,18 +30,20 @@
 #include <array>
 #include <cstddef>
 #include <initializer_list>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "graph/dijkstra.h"
+#include "util/flat_vec.h"
 #include "util/types.h"
 
 namespace rtr {
 
-class SnapshotWriter;  // io/snapshot_format.h
-class SnapshotReader;
 class AuditReport;  // audit/audit.h
+class ArenaView;    // io/arena.h
+class ArenaWriter;
 
 /// Per-node state a tree member stores for one tree: O(1) words.
 struct TreeNodeTable {
@@ -149,6 +151,49 @@ struct TreeLabel {
   LightHops light_hops;
 };
 
+/// Many tree labels in one flat, arena-storable layout: label e is dfs number
+/// dfs_[e] plus the light hops hops_[hop_off_[e] .. hop_off_[e+1]).  A
+/// Builder collects labels in push order; a built table owns its arrays and
+/// a mapped one views them inside the snapshot arena.
+class TreeLabelTable {
+ public:
+  class Builder {
+   public:
+    void push(const TreeLabel& label);
+    [[nodiscard]] TreeLabelTable finish();
+
+   private:
+    std::vector<std::int32_t> dfs_;
+    std::vector<std::int64_t> hop_off_{0};
+    std::vector<LightHop> hops_;
+  };
+
+  /// An empty table (no labels).
+  TreeLabelTable() : hop_off_(std::vector<std::int64_t>{0}) {}
+
+  [[nodiscard]] std::size_t size() const { return dfs_.size(); }
+  /// Label e, materialized (no allocation for <= 8 light hops).
+  [[nodiscard]] TreeLabel at(std::size_t e) const;
+
+  /// True when the hop offsets rise monotonically from 0 to the hop count,
+  /// one offset per label plus one (the audits check this shape).
+  [[nodiscard]] bool framed() const;
+
+  /// Writes prefix + "dfs", prefix + "hop_off" and prefix + "hops".
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+  /// Views the three sections; `count` is the label count the caller
+  /// derives from its own key arrays.  Throws SnapshotArenaError when the
+  /// sections disagree with it or the hop offsets are not a CSR.
+  [[nodiscard]] static TreeLabelTable from_arena(const ArenaView& a,
+                                                 const std::string& prefix,
+                                                 std::uint64_t count);
+
+ private:
+  FlatVec<std::int32_t> dfs_;
+  FlatVec<std::int64_t> hop_off_;
+  FlatVec<LightHop> hops_;
+};
+
 /// Immutable routing structure for one tree.  Holds every member's
 /// TreeNodeTable and can mint labels; per-member state is O(1) words as
 /// Lemma 14 requires (labels are computed from the tree, not stored).
@@ -169,9 +214,15 @@ class TreeRouter {
   /// the tree (dist == kInfDist) are not members.
   explicit TreeRouter(const OutTree& tree);
 
-  /// Snapshot path: rehydrates a router saved with save().
-  explicit TreeRouter(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
+  /// Snapshot path: adopts per-member arrays a router built earlier (views
+  /// into a mapped arena, typically).  Checks the arrays share one length
+  /// and every parent / heavy-child index is a member index or -1; throws
+  /// std::invalid_argument otherwise.  The deep audit checks the rest.
+  [[nodiscard]] static TreeRouter adopt(NodeId root, FlatVec<NodeId> members,
+                                        FlatVec<TreeNodeTable> tables,
+                                        FlatVec<std::int32_t> parent,
+                                        FlatVec<Port> parent_port,
+                                        FlatVec<std::int32_t> heavy_child);
 
   [[nodiscard]] NodeId root() const { return root_; }
   [[nodiscard]] NodeId member_count() const {
@@ -180,7 +231,16 @@ class TreeRouter {
 
   /// Members, sorted ascending; index i of every per-member accessor is
   /// members()[i].
-  [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }
+  [[nodiscard]] const FlatVec<NodeId>& members() const { return members_; }
+  /// The per-member arrays (snapshot writers concatenate them).
+  [[nodiscard]] const FlatVec<TreeNodeTable>& tables() const { return tables_; }
+  [[nodiscard]] const FlatVec<std::int32_t>& parents() const { return parent_; }
+  [[nodiscard]] const FlatVec<Port>& parent_ports() const {
+    return parent_port_;
+  }
+  [[nodiscard]] const FlatVec<std::int32_t>& heavy_children() const {
+    return heavy_child_;
+  }
 
   /// v's member index, or -1 when v is not a member.
   [[nodiscard]] std::int32_t index_of(NodeId v) const {
@@ -224,19 +284,12 @@ class TreeRouter {
  private:
   friend struct AuditTestPeer;
   NodeId root_ = kNoNode;
-  std::vector<NodeId> members_;             // sorted ascending
-  std::vector<TreeNodeTable> tables_;       // per member
-  std::vector<std::int32_t> parent_;        // member index; -1 at the root
-  std::vector<Port> parent_port_;           // port at parent toward member
-  std::vector<std::int32_t> heavy_child_;   // member index; -1 at leaves
+  FlatVec<NodeId> members_;             // sorted ascending
+  FlatVec<TreeNodeTable> tables_;       // per member
+  FlatVec<std::int32_t> parent_;        // member index; -1 at the root
+  FlatVec<Port> parent_port_;           // port at parent toward member
+  FlatVec<std::int32_t> heavy_child_;   // member index; -1 at leaves
 };
-
-/// Snapshot encoding of the O(1)-word table and the O(log^2 n)-bit label;
-/// shared by every scheme that persists tree-routing state.
-void save_tree_node_table(SnapshotWriter& w, const TreeNodeTable& t);
-[[nodiscard]] TreeNodeTable load_tree_node_table(SnapshotReader& r);
-void save_tree_label(SnapshotWriter& w, const TreeLabel& label);
-[[nodiscard]] TreeLabel load_tree_label(SnapshotReader& r);
 
 /// Forwarding decision at a node holding `at` for a packet addressed
 /// `target`: kNoPort means "deliver here" (at.dfs_in == target.dfs_in).

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -111,6 +112,28 @@ class FlatVec {
   const T* data_ = nullptr;
   std::size_t size_ = 0;
 };
+
+/// True when `off` frames `entries` elements as CSR row offsets: it starts
+/// at 0, ends at `entries` and never decreases.
+[[nodiscard]] inline bool csr_framed(const FlatVec<std::int64_t>& off,
+                                     std::size_t entries) {
+  return !off.empty() && off.front() == 0 &&
+         off.back() == static_cast<std::int64_t>(entries) &&
+         std::is_sorted(off.begin(), off.end());
+}
+
+/// One row of a CSR dictionary: row r's keys are keys[off[r] .. off[r+1]),
+/// sorted ascending.  Returns the index of `key` in `keys`, or -1 when row r
+/// does not hold it (one binary search over the row).
+template <typename K>
+[[nodiscard]] std::int64_t csr_find(const FlatVec<std::int64_t>& off,
+                                    const FlatVec<K>& keys, std::size_t row,
+                                    K key) {
+  const K* first = keys.data() + off[row];
+  const K* last = keys.data() + off[row + 1];
+  const K* it = std::lower_bound(first, last, key);
+  return it != last && *it == key ? it - keys.data() : -1;
+}
 
 }  // namespace rtr
 

@@ -36,7 +36,7 @@ struct AuditTestPeer {
   }
   static FlatVec<NodeName>& names(NameAssignment& a) { return a.name_of_; }
   /// Member-indexed: entry i is the member index of members()[i]'s parent.
-  static std::vector<std::int32_t>& parents(TreeRouter& t) { return t.parent_; }
+  static FlatVec<std::int32_t>& parents(TreeRouter& t) { return t.parent_; }
   static BallSystem& balls(Rtz3Scheme& s) { return s.balls_; }
   static FlatVec<std::int64_t>& ball_off(Rtz3Scheme& s) { return s.ball_off_; }
   static FlatVec<NodeName>& ball_keys(Rtz3Scheme& s) { return s.ball_key_; }
@@ -194,13 +194,14 @@ TEST(AuditCorruption, UnsortedDictionaryFires) {
 TEST(AuditCorruption, CyclicTreeParentFires) {
   const Instance inst = make_instance(Family::kRandom, 100, 4, 11);
   TreeRouter router(dijkstra_out_tree(inst.graph, 0));
-  auto& parents = AuditTestPeer::parents(router);
+  auto parents = AuditTestPeer::parents(router).to_vector();
   // A non-root member now points at itself: the root walk never terminates.
   const NodeId victim = router.members().back() != router.root()
                             ? router.members().back()
                             : router.members().front();
   const std::int32_t slot = router.index_of(victim);
   parents[static_cast<std::size_t>(slot)] = slot;
+  AuditTestPeer::parents(router) = std::move(parents);
   AuditReport report;
   router.audit(report);
   expect_fired(report, "tree", "parents-acyclic");

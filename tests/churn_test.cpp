@@ -11,8 +11,8 @@
 #include "graph/churn.h"
 #include "graph/generators.h"
 #include "graph/scc.h"
+#include "io/arena.h"
 #include "io/snapshot.h"
-#include "io/snapshot_format.h"
 #include "test_support.h"
 
 namespace rtr {
@@ -124,10 +124,11 @@ TEST(Churn, SelfLoopAndDuplicateFree) {
   }
 }
 
+// The graph's snapshot sections, finalized into an arena image.
 std::vector<std::uint8_t> graph_bytes(const Digraph& g) {
-  SnapshotWriter w;
-  save_digraph(w, g);
-  return w.bytes();
+  ArenaWriter w;
+  g.save_arena(w);
+  return w.finalize("graph", g.node_count(), g.edge_count());
 }
 
 // Builder/freeze round-trips must be loss-free at the byte level: thawing a
@@ -155,9 +156,8 @@ TEST(Churn, FreezeRoundTripsAreSnapshotByteIdentical) {
   const Digraph next = churn_step(g, opt, rng);
   EXPECT_EQ(graph_bytes(next), bytes);
 
-  // And the snapshot loader rebuilds the same bytes from them.
-  SnapshotReader r(bytes.data(), bytes.size());
-  const Digraph loaded = load_digraph(r);
+  // And the snapshot loader, viewing those bytes, re-saves them exactly.
+  const Digraph loaded = Digraph::from_arena(ArenaView(make_owned_arena(bytes)));
   EXPECT_EQ(graph_bytes(loaded), bytes);
 }
 

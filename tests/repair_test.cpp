@@ -12,11 +12,15 @@
 // *EpochSwapHammer* tests.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,10 +30,10 @@
 #include "graph/churn_delta.h"
 #include "graph/digraph.h"
 #include "graph/generators.h"
-#include "io/snapshot_format.h"
 #include "net/scheme.h"
 #include "rt/metric.h"
 #include "serve/epoch_manager.h"
+#include "server/route_server.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -50,9 +54,7 @@ NameAssignment fixed_names(NodeId n, std::uint64_t seed) {
 
 std::vector<std::uint8_t> scheme_bytes(const std::string& scheme_name,
                                        const Scheme& scheme) {
-  SnapshotWriter w;
-  SchemeRegistry::global().saver(scheme_name)(scheme, w);
-  return w.bytes();
+  return ::rtr::testing::scheme_arena_bytes(scheme_name, scheme);
 }
 
 BuildContext context_for(std::shared_ptr<const Digraph> graph,
@@ -353,6 +355,57 @@ TEST(RepairEpochManager, GlobalPortRelabelFallsBackToFullBuild) {
   EXPECT_GT(c.last_rebuild_ms, 0.0);
   const auto& names = mgr.names();
   EXPECT_TRUE(mgr.roundtrip_by_name(names.name_of(1), names.name_of(5)).ok());
+}
+
+// A repair that throws (here: a private registry whose rtz3 repair hook
+// always throws, as a repaired scheme failing its audit would) is a defect:
+// it counts in repair_failures, not as a policy fallback, and the full build
+// still supplies the epoch.  A failed shm publish is counted likewise, and
+// /stats shows both counters.
+TEST(RepairEpochManager, FailuresAreCountedApartFromDeclines) {
+  SchemeRegistry registry;
+  register_builtin_schemes(registry);
+  registry.set_repair_hook(
+      "rtz3",
+      [](const Scheme&, const Digraph&, const BuildContext&,
+         const ChurnDelta&) -> std::shared_ptr<const Scheme> {
+        throw std::runtime_error("synthetic repair defect");
+      });
+  const NodeId n = 64;
+  Digraph g = initial_graph(n, 701);
+  const std::string cache_dir = ::testing::TempDir() + "rtr_repair_failures";
+  ASSERT_TRUE(::mkdir(cache_dir.c_str(), 0755) == 0 || errno == EEXIST);
+  EpochManagerOptions opt;
+  opt.enable_repair = true;
+  opt.cache_dir = cache_dir;
+  // A '/' inside a POSIX shm name is refused by shm_open on every host.
+  opt.shm_prefix = "rtr_bad/shm_prefix";
+  EpochManager mgr("rtz3", fixed_names(n, 702), Digraph(g), opt, registry);
+
+  ChurnOptions churn;  // port-stable weight jitter: well under the threshold
+  churn.rewire_fraction = 0;
+  churn.perturb_fraction = 0.02;
+  churn.reassign_ports = false;
+  Rng churn_rng(703);
+  mgr.rebuild_now(churn_step(g, churn, churn_rng));
+
+  EXPECT_EQ(mgr.epoch(), 1u);
+  const auto c = mgr.counters();
+  EXPECT_EQ(c.epochs_built, 1u);
+  EXPECT_EQ(c.repairs, 0u);
+  EXPECT_EQ(c.repair_failures, 1u);
+  EXPECT_EQ(c.repair_fallbacks, 0u) << "a thrown repair is not a decline";
+  EXPECT_EQ(c.shm_published, 0u);
+  EXPECT_EQ(c.shm_publish_failures, 2u);  // epoch 0 and the rebuilt epoch 1
+  const auto& names = mgr.names();
+  EXPECT_TRUE(mgr.roundtrip_by_name(names.name_of(1), names.name_of(5)).ok());
+
+  ManagerServingSource source(mgr);
+  RouteServer server(source);
+  const Json stats = server.stats_json();
+  EXPECT_EQ(stats.at("repair_failures").as_int(), 1);
+  EXPECT_EQ(stats.at("repair_fallbacks").as_int(), 0);
+  EXPECT_EQ(stats.at("shm_publish_failures").as_int(), 2);
 }
 
 // Two managers over the same pinned seed and the same churn sequence: one

@@ -100,10 +100,20 @@ TEST_F(SnapshotCorruptionTest, FlippedMagicIsAFormatError) {
 
 TEST_F(SnapshotCorruptionTest, WrongVersionIsAVersionError) {
   auto bytes = pristine_;
-  bytes[kSnapshotMagicSize] = static_cast<std::uint8_t>(kSnapshotVersion + 1);
+  bytes[kArenaMagicSize] = static_cast<std::uint8_t>(kSnapshotVersion + 1);
   write_file(path_, bytes);
   EXPECT_THROW((void)load_snapshot(path_, "stretch6"), SnapshotVersionError);
   EXPECT_THROW((void)inspect_snapshot(path_), SnapshotVersionError);
+  // The retired v1 streamed format shares the magic and the version field:
+  // every read path refuses it by version, whatever follows.
+  bytes = pristine_;
+  bytes[kArenaMagicSize] = 1;
+  write_file(path_, bytes);
+  EXPECT_THROW((void)load_snapshot(path_, "stretch6"), SnapshotVersionError);
+  EXPECT_THROW((void)map_snapshot(path_, "stretch6"), SnapshotVersionError);
+  EXPECT_THROW((void)inspect_snapshot(path_), SnapshotVersionError);
+  EXPECT_FALSE(probe_snapshot(path_).framing_ok);
+  EXPECT_EQ(probe_snapshot(path_).version, 1u);
 }
 
 TEST_F(SnapshotCorruptionTest, BitFlipInAPayloadIsAChecksumError) {
@@ -118,7 +128,7 @@ TEST_F(SnapshotCorruptionTest, BitFlipInTheHeaderIsAChecksumError) {
   // The scheme-name string sits right after magic+version; corrupting it
   // must fail the header CRC, not masquerade as a scheme mismatch.
   auto bytes = pristine_;
-  bytes[kSnapshotMagicSize + 4 + 8] ^= 0xFF;  // first byte of the name
+  bytes[kArenaMagicSize + 4 + 8] ^= 0xFF;  // first byte of the name
   write_file(path_, bytes);
   EXPECT_THROW((void)load_snapshot(path_), SnapshotChecksumError);
 }
@@ -172,10 +182,11 @@ TEST_F(SnapshotCorruptionTest, BuildOrLoadRecoversFromACorruptCache) {
   EXPECT_TRUE(res.ok());
 }
 
-// The cover-hierarchy schemes nest a v1 blob whose hierarchy encoding opens
-// with a layout tag.  A blob from before the member-indexed layout carried
-// k (a small i32) at that offset; such a file must be refused with a typed
-// format error on both load paths, never decoded as the new layout.
+// Before every scheme had native sections, the cover-hierarchy schemes (and
+// fulltable, hashed64) nested their tables in one "scheme/blob" byte section
+// -- the member-indexed hierarchy of those blobs included.  Such a file is
+// refused with a typed format error on both load paths, never decoded, and
+// a cache holding one is a miss that gets rebuilt and overwritten.
 class HierarchyLayoutTagTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(HierarchyLayoutTagTest, PreMemberIndexedBlobIsAFormatError) {
@@ -184,22 +195,13 @@ TEST_P(HierarchyLayoutTagTest, PreMemberIndexedBlobIsAFormatError) {
   const BuildContext ctx = inst->context(9);
   const SchemeHandle built(ctx.graph, ctx.names,
                            SchemeRegistry::global().build(scheme, ctx));
-  SnapshotWriter blob;
-  SchemeRegistry::global().saver(scheme)(built.scheme(), blob);
-  std::vector<std::uint8_t> bytes = blob.bytes();
-  // The tag is "MCH2" little-endian.  Names and alphabet precede it; at
-  // n = 32 every byte they write is below 0x40, so the first match is the
-  // tag.
-  const std::array<std::uint8_t, 4> tag = {'M', 'C', 'H', '2'};
-  const auto at = std::search(bytes.begin(), bytes.end(), tag.begin(), tag.end());
-  ASSERT_NE(at, bytes.end()) << "hierarchy layout tag not found in the blob";
-  std::fill(at, at + 4, std::uint8_t{0});
-  *at = 3;  // what the old layout wrote here: k = 3 as an i32
-
+  // What such a file held: graph and names sections, then the blob (its
+  // hierarchy encoding opened with the layout tag "MCH2").
+  const std::vector<std::uint8_t> blob = {'M', 'C', 'H', '2', 3, 0, 0, 0};
   ArenaWriter w;
   built.graph().save_arena(w);
   built.names().save_arena(w);
-  w.add_bytes("scheme/blob", bytes.data(), bytes.size());
+  w.add_bytes("scheme/blob", blob.data(), blob.size());
   const std::string path = ::testing::TempDir() + "rtr_layout_tag_" + scheme +
                            ".rtrsnap";
   write_file(path, w.finalize(scheme, built.graph().node_count(),
@@ -207,13 +209,27 @@ TEST_P(HierarchyLayoutTagTest, PreMemberIndexedBlobIsAFormatError) {
   for (const bool mapped : {false, true}) {
     try {
       (void)(mapped ? map_snapshot(path, scheme) : load_snapshot(path, scheme));
-      ADD_FAILURE() << "old-layout blob decoded (mapped=" << mapped << ")";
+      ADD_FAILURE() << "blob snapshot loaded (mapped=" << mapped << ")";
     } catch (const SnapshotFormatError& e) {
-      // Refused at the tag, not by a later misaligned read.
-      EXPECT_NE(std::string(e.what()).find("layout tag"), std::string::npos)
+      // Refused for lacking the native sections, not by a misread.
+      EXPECT_NE(std::string(e.what()).find("missing section"),
+                std::string::npos)
           << e.what();
     }
   }
+  // As a cache file it is a miss: rebuilt and overwritten with native
+  // sections that load again.
+  int builds = 0;
+  const SchemeHandle rebuilt = SchemeRegistry::global().build_or_load(
+      scheme,
+      [&] {
+        ++builds;
+        return inst->context(9);
+      },
+      path);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(rebuilt.name(), built.name());
+  EXPECT_NO_THROW((void)map_snapshot(path, scheme));
   std::remove(path.c_str());
 }
 

@@ -1,12 +1,14 @@
 // Differential conformance suite for binary scheme snapshots: for every
 // registered scheme, save -> load must (a) re-save byte-identically and
-// (b) answer roundtrip queries exactly like the freshly built scheme.
+// (b) answer roundtrip queries exactly like the freshly built scheme -- on
+// every graph family and size the scheme builds at (the totality suite).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <vector>
 
+#include "audit/audit.h"
 #include "io/snapshot.h"
 #include "net/scheme.h"
 #include "test_support.h"
@@ -82,67 +84,99 @@ TEST_P(SnapshotRoundtripTest, ResaveIsByteIdenticalAndAnswersMatch) {
   std::remove(path_b.c_str());
 }
 
-TEST_P(SnapshotRoundtripTest, V1ToV2RepackAndMappedLoadAnswerIdentically) {
-  const std::string scheme_name = GetParam();
-  const auto inst = shared_instance(Family::kRandom, 64, 4, 2024);
-  const BuildContext ctx = inst->context(7);
-  SchemeHandle built(ctx.graph, ctx.names,
-                     SchemeRegistry::global().build(scheme_name, ctx));
-
-  const std::string v1_path = temp_path(scheme_name + "_v1");
-  const std::string v2_from_v1 = temp_path(scheme_name + "_v2a");
-  const std::string v2_from_built = temp_path(scheme_name + "_v2b");
-
-  // v1 stays writable and loadable (back-compat leg of the migration).
-  save_snapshot(v1_path, scheme_name, built, SchemeRegistry::global(),
-                kSnapshotVersionV1);
-  ASSERT_EQ(inspect_snapshot(v1_path).version, kSnapshotVersionV1);
-  SchemeHandle v1_loaded = load_snapshot(v1_path, scheme_name);
-
-  // Repacking the v1-loaded handle as v2 must produce the SAME arena bytes
-  // as saving the freshly built scheme: the v1 decode loses nothing.
-  save_snapshot(v2_from_v1, scheme_name, v1_loaded, SchemeRegistry::global(),
-                kSnapshotVersionV2);
-  save_snapshot(v2_from_built, scheme_name, built, SchemeRegistry::global(),
-                kSnapshotVersionV2);
-  EXPECT_EQ(read_file(v2_from_v1), read_file(v2_from_built))
-      << scheme_name << ": v1 -> v2 repack drifted from a direct v2 save";
-
-  // All three load paths -- v1 decode, owned v2, zero-copy mapped v2 --
-  // answer route-for-route and stat-for-stat like the built scheme.
-  SchemeHandle v2_owned = load_snapshot(v2_from_v1, scheme_name);
-  SchemeHandle v2_mapped = map_snapshot(v2_from_v1, scheme_name);
-  for (const SchemeHandle* h : {&v1_loaded, &v2_owned, &v2_mapped}) {
-    EXPECT_EQ(h->names().names(), built.names().names());
-    EXPECT_EQ(h->table_stats().max_bits(), built.table_stats().max_bits());
-    EXPECT_DOUBLE_EQ(h->table_stats().mean_bits(),
-                     built.table_stats().mean_bits());
+/// Route-for-route and stat-for-stat equality of two handles over `pairs`.
+void expect_same_answers(const SchemeHandle& want, const SchemeHandle& got,
+                         const std::vector<std::pair<NodeId, NodeId>>& pairs,
+                         const std::string& what) {
+  ASSERT_EQ(got.names().names(), want.names().names()) << what;
+  EXPECT_EQ(got.name(), want.name()) << what;
+  EXPECT_EQ(got.table_stats().max_bits(), want.table_stats().max_bits())
+      << what;
+  EXPECT_DOUBLE_EQ(got.table_stats().mean_bits(),
+                   want.table_stats().mean_bits())
+      << what;
+  for (const auto& [s, t] : pairs) {
+    const RouteResult a = want.roundtrip(s, t);
+    const RouteResult b = got.roundtrip(s, t);
+    ASSERT_TRUE(a.ok()) << what << " built failed " << s << "->" << t;
+    ASSERT_TRUE(b.ok()) << what << " failed " << s << "->" << t;
+    ASSERT_EQ(a.out_length, b.out_length) << what << " " << s << "->" << t;
+    ASSERT_EQ(a.back_length, b.back_length) << what << " " << s << "->" << t;
+    ASSERT_EQ(a.out_hops, b.out_hops) << what << " " << s << "->" << t;
+    ASSERT_EQ(a.back_hops, b.back_hops) << what << " " << s << "->" << t;
+    ASSERT_EQ(a.max_header_bits, b.max_header_bits)
+        << what << " " << s << "->" << t;
   }
-  Rng rng(99);
-  const NodeId n = built.graph().node_count();
-  for (int i = 0; i < 300; ++i) {
-    auto s = static_cast<NodeId>(rng.index(n));
-    auto t = static_cast<NodeId>(rng.index(n));
-    if (s == t) t = static_cast<NodeId>((t + 1) % n);
-    const RouteResult a = built.roundtrip(s, t);
-    for (const SchemeHandle* h : {&v1_loaded, &v2_owned, &v2_mapped}) {
-      const RouteResult b = h->roundtrip(s, t);
-      ASSERT_EQ(a.ok(), b.ok()) << scheme_name << " " << s << "->" << t;
-      ASSERT_EQ(a.out_length, b.out_length)
-          << scheme_name << " " << s << "->" << t;
-      ASSERT_EQ(a.back_length, b.back_length)
-          << scheme_name << " " << s << "->" << t;
-      ASSERT_EQ(a.out_hops, b.out_hops) << scheme_name << " " << s << "->" << t;
-      ASSERT_EQ(a.back_hops, b.back_hops)
-          << scheme_name << " " << s << "->" << t;
-      ASSERT_EQ(a.max_header_bits, b.max_header_bits)
-          << scheme_name << " " << s << "->" << t;
+}
+
+/// Snapshot totality: on every family and every n in {8, ..., 128} where
+/// the scheme builds, save -> map -> load -> deep audit -> route equivalence
+/// against the built handle, and a byte-identical re-save from both loaded
+/// handles.  A build that throws (the instance is too small or too sparse
+/// for the scheme) skips the case; any failure after a successful build
+/// fails the test.
+TEST_P(SnapshotRoundtripTest, TotalOverFamiliesAndSizes) {
+  const std::string scheme_name = GetParam();
+  const std::string path = temp_path(scheme_name + "_total");
+  const std::string resaved = temp_path(scheme_name + "_total_resaved");
+  int cases = 0;
+  for (const Family family : all_families()) {
+    for (const NodeId n : {8, 16, 32, 64, 128}) {
+      const std::string what =
+          scheme_name + " " + family_name(family) + " n=" + std::to_string(n);
+      std::shared_ptr<const ::rtr::testing::Instance> inst;
+      std::shared_ptr<const Scheme> scheme;
+      BuildContext ctx;
+      try {
+        inst = shared_instance(family, n, 4, 31 + static_cast<std::uint64_t>(n));
+        ctx = inst->context(5);
+        scheme = SchemeRegistry::global().build(scheme_name, ctx);
+      } catch (const std::exception&) {
+        continue;  // the scheme does not build here
+      }
+      ++cases;
+      const SchemeHandle built(ctx.graph, ctx.names, scheme);
+      save_snapshot(path, scheme_name, built);
+      const std::vector<std::uint8_t> bytes = read_file(path);
+      const SchemeHandle mapped = map_snapshot(path, scheme_name);
+      const SchemeHandle loaded = load_snapshot(path, scheme_name);
+
+      for (const SchemeHandle* h : {&mapped, &loaded}) {
+        AuditReport report;
+        audit_handle(*h, report);
+        EXPECT_TRUE(report.ok()) << what << "\n" << report.summary(false);
+      }
+
+      std::vector<std::pair<NodeId, NodeId>> pairs;
+      const NodeId nodes = built.graph().node_count();
+      if (static_cast<std::int64_t>(nodes) * nodes <= 1024) {
+        for (NodeId s = 0; s < nodes; ++s) {
+          for (NodeId t = 0; t < nodes; ++t) {
+            if (s != t) pairs.emplace_back(s, t);
+          }
+        }
+      } else {
+        Rng rng(static_cast<std::uint64_t>(n));
+        while (pairs.size() < 300) {
+          const auto s = static_cast<NodeId>(rng.index(nodes));
+          const auto t = static_cast<NodeId>(rng.index(nodes));
+          if (s != t) pairs.emplace_back(s, t);
+        }
+      }
+      expect_same_answers(built, mapped, pairs, what + " mapped");
+      expect_same_answers(built, loaded, pairs, what + " loaded");
+
+      for (const SchemeHandle* h : {&mapped, &loaded}) {
+        save_snapshot(resaved, scheme_name, *h);
+        EXPECT_EQ(read_file(resaved), bytes)
+            << what << ": re-save of a "
+            << (h == &mapped ? "mapped" : "loaded") << " handle drifted";
+      }
     }
   }
-
-  std::remove(v1_path.c_str());
-  std::remove(v2_from_v1.c_str());
-  std::remove(v2_from_built.c_str());
+  EXPECT_GT(cases, 0) << scheme_name << " built on no instance at all";
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SnapshotRoundtripTest,
@@ -188,16 +222,6 @@ TEST(SnapshotInspect, ReportsHeaderAndSections) {
   for (const auto& s : info.sections) section_bytes += s.bytes;
   EXPECT_LT(section_bytes, info.file_bytes);
 
-  // The v1 encoding remains writable and inspectable on request.
-  save_snapshot(path, "rtz3", built, SchemeRegistry::global(),
-                kSnapshotVersionV1);
-  SnapshotInfo v1 = inspect_snapshot(path);
-  EXPECT_EQ(v1.version, kSnapshotVersionV1);
-  EXPECT_EQ(v1.scheme, "rtz3");
-  ASSERT_EQ(v1.sections.size(), 3u);
-  EXPECT_EQ(v1.sections[0].name, "graph");
-  EXPECT_EQ(v1.sections[1].name, "names");
-  EXPECT_EQ(v1.sections[2].name, "scheme");
   std::remove(path.c_str());
 }
 
@@ -248,12 +272,12 @@ TEST(BuildOrLoad, MappedModeHitsV2CachesAndFallsBackForV1) {
     return inst->context(13);
   };
 
-  // Miss: builds and saves v2, exactly like owned mode.
+  // Miss: builds and saves, exactly like owned mode.
   SchemeHandle first = SchemeRegistry::global().build_or_load(
       "stretch6", make_ctx, path, kMapped);
   EXPECT_EQ(ctx_builds, 1);
 
-  // Hit: the v2 cache serves zero-copy; construction is skipped.
+  // Hit: the cache serves zero-copy; construction is skipped.
   SchemeHandle second = SchemeRegistry::global().build_or_load(
       "stretch6", make_ctx, path, kMapped);
   EXPECT_EQ(ctx_builds, 1) << "mapped cache hit must not rebuild";
@@ -268,14 +292,24 @@ TEST(BuildOrLoad, MappedModeHitsV2CachesAndFallsBackForV1) {
     ASSERT_EQ(a.roundtrip_length(), b.roundtrip_length());
   }
 
-  // A v1 cache file cannot be mapped: mapped mode falls back to the owned
-  // decode -- still a hit, never a rebuild.
-  save_snapshot(path, "stretch6", first, SchemeRegistry::global(),
-                kSnapshotVersionV1);
-  SchemeHandle third = SchemeRegistry::global().build_or_load(
-      "stretch6", make_ctx, path, kMapped);
-  EXPECT_EQ(ctx_builds, 1) << "v1 fallback must use the owned load, not build";
-  EXPECT_EQ(third.graph().node_count(), inst->n());
+  // A cache file of the retired v1 format (same magic, version field 1) is
+  // unreadable: a miss in either mode -- rebuild, then overwrite it with the
+  // current format.
+  for (const auto mode : {kMapped, SchemeRegistry::SnapshotLoadMode::kOwned}) {
+    std::vector<std::uint8_t> v1 = read_file(path);
+    v1[kArenaMagicSize] = 1;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(v1.data()),
+                static_cast<std::streamsize>(v1.size()));
+    }
+    const int before = ctx_builds;
+    SchemeHandle third =
+        SchemeRegistry::global().build_or_load("stretch6", make_ctx, path, mode);
+    EXPECT_EQ(ctx_builds, before + 1) << "a v1 cache file must be a miss";
+    EXPECT_EQ(third.graph().node_count(), inst->n());
+    EXPECT_EQ(inspect_snapshot(path).version, kSnapshotVersion);
+  }
   std::remove(path.c_str());
 }
 

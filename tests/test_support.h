@@ -21,6 +21,7 @@
 #include "graph/digraph.h"
 #include "graph/generators.h"
 #include "graph/scc.h"
+#include "io/arena.h"
 #include "net/scheme.h"
 #include "rt/metric.h"
 #include "util/rng.h"
@@ -286,6 +287,16 @@ inline std::string family_param_name(const FamilyParam& p) {
     if (c == '+' || c == '-') c = '_';
   }
   return name + "_n" + std::to_string(n) + "_s" + std::to_string(seed);
+}
+
+/// The arena image of a scheme's own sections -- the registry's snapshot
+/// saver into an ArenaWriter, then finalize -- the canonical encoding the
+/// byte-identity oracles compare ("same bytes" means "same tables").
+inline std::vector<std::uint8_t> scheme_arena_bytes(const std::string& name,
+                                                    const Scheme& scheme) {
+  ArenaWriter w;
+  SchemeRegistry::global().arena_saver(name)(scheme, w);
+  return w.finalize(name, 0, 0);
 }
 
 }  // namespace rtr::testing

@@ -6,7 +6,7 @@
 
 #include "graph/dijkstra.h"
 #include "graph/generators.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "treeroute/tree_router.h"
 #include "util/rng.h"
 
@@ -187,23 +187,37 @@ TEST(LightHops, SequenceSemanticsAcrossTheSpillBoundary) {
   EXPECT_EQ(hops[0], std::make_pair(std::int32_t{7}, Port{8}));
 }
 
+// One label written through a TreeLabelTable as arena sections under
+// "lab_", finalized into an image.
+std::vector<std::uint8_t> label_image(const TreeLabel& label) {
+  TreeLabelTable::Builder builder;
+  builder.push(label);
+  ArenaWriter w;
+  builder.finish().save_arena(w, "lab_");
+  return w.finalize("labels", 0, 0);
+}
+
 TEST(LightHops, SnapshotWireFormatIsPinned) {
-  // The small-buffer change is storage-only: the on-disk encoding must stay
-  // i32 dfs, u64 count, then (i32 tail_dfs, i32 port) per hop, all LE.
+  // The small-buffer change is storage-only: in a snapshot a label is its
+  // dfs number in "dfs" plus a hop range -- "hop_off" offsets into (i32
+  // tail_dfs, i32 port) pairs in "hops" -- all little-endian.
   TreeLabel label;
   label.dfs_in = 5;
   label.light_hops = {{1, 2}, {3, 4}};
-  SnapshotWriter w;
-  save_tree_label(w, label);
+  const ArenaView view(make_owned_arena(label_image(label)));
+  EXPECT_EQ(view.vec<std::int32_t>("lab_dfs").to_vector(),
+            std::vector<std::int32_t>{5});
+  EXPECT_EQ(view.vec<std::int64_t>("lab_hop_off").to_vector(),
+            (std::vector<std::int64_t>{0, 2}));
+  const ArenaDirEntry& hops = view.entry("lab_hops");
+  ASSERT_EQ(hops.byte_size(), 16u);
   const std::vector<std::uint8_t> expected = {
-      5, 0, 0, 0,              // dfs_in
-      2, 0, 0, 0, 0, 0, 0, 0,  // hop count (u64)
       1, 0, 0, 0, 2, 0, 0, 0,  // hop (1, 2)
       3, 0, 0, 0, 4, 0, 0, 0,  // hop (3, 4)
   };
-  EXPECT_EQ(w.bytes(), expected);
-  SnapshotReader r(w.bytes().data(), w.bytes().size());
-  const TreeLabel back = load_tree_label(r);
+  const std::uint8_t* payload = view.storage()->data() + hops.offset;
+  EXPECT_EQ(std::vector<std::uint8_t>(payload, payload + 16), expected);
+  const TreeLabel back = TreeLabelTable::from_arena(view, "lab_", 1).at(0);
   EXPECT_EQ(back.dfs_in, label.dfs_in);
   EXPECT_EQ(back.light_hops, label.light_hops);
 }
@@ -247,14 +261,12 @@ TEST(LightHops, DeepTreeLabelsSpillAndStillRouteAndRoundtrip) {
 
   // Save -> load -> save is byte-identical with spilled labels in play.
   const TreeLabel deep_label = router.label(deepest);
-  SnapshotWriter wa;
-  save_tree_label(wa, deep_label);
-  SnapshotReader r(wa.bytes().data(), wa.bytes().size());
-  const TreeLabel loaded = load_tree_label(r);
+  const std::vector<std::uint8_t> image = label_image(deep_label);
+  const TreeLabel loaded =
+      TreeLabelTable::from_arena(ArenaView(make_owned_arena(image)), "lab_", 1)
+          .at(0);
   EXPECT_EQ(loaded.light_hops, deep_label.light_hops);
-  SnapshotWriter wb;
-  save_tree_label(wb, loaded);
-  EXPECT_EQ(wa.bytes(), wb.bytes());
+  EXPECT_EQ(label_image(loaded), image);
   EXPECT_EQ(tree_label_bits(loaded, n, 4 * n),
             tree_label_bits(deep_label, n, 4 * n));
 }

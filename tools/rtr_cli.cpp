@@ -15,7 +15,7 @@
 //       and emit a one-line JSON report.
 //   rtr_cli snapshot save <scheme> <path> <family> <n> [seed]
 //       Build the scheme over a generated instance and freeze it (graph,
-//       names, tables) into a versioned binary snapshot at <path>.
+//       names, tables) into a binary snapshot arena at <path>.
 //   rtr_cli snapshot load <path> [src dst]
 //       Load a snapshot into a ready-to-serve handle; optionally run one
 //       roundtrip query against it.
@@ -23,11 +23,8 @@
 //       Probe framing and per-section checksums; print the header and the
 //       section table with each section's CRC status.  Non-zero exit when
 //       any section is damaged.
-//   rtr_cli snapshot pack <in> <out>
-//       Repack any loadable snapshot (v1 or v2) as a v2 relocatable arena
-//       at <out> -- the migration path that makes old caches mmap-able.
 //   rtr_cli snapshot map-info <path>
-//       mmap(2) a v2 arena in place (the zero-copy serving path), verify
+//       mmap(2) a snapshot in place (the zero-copy serving path), verify
 //       every section CRC against the directory, and print the mapped
 //       layout: per-section offset, element size/count, and CRC.  Non-zero
 //       exit when the file cannot be mapped or any CRC fails.
@@ -90,7 +87,6 @@ int usage() {
             << "  rtr_cli snapshot save <scheme> <path> <family> <n> [seed]\n"
             << "  rtr_cli snapshot load <path> [src dst]\n"
             << "  rtr_cli snapshot info <path>\n"
-            << "  rtr_cli snapshot pack <in> <out>\n"
             << "  rtr_cli snapshot map-info <path>\n"
             << "  rtr_cli snapshot bench <scheme> <family> <n> [pairs] "
                "[seed]\n"
@@ -236,20 +232,6 @@ int run_snapshot_info(const std::string& path) {
     }
   }
   return status.all_ok() ? 0 : 1;
-}
-
-/// `snapshot pack`: load any version with full verification, re-save as a
-/// v2 arena.  The registry name comes from the file itself, so packing
-/// needs no scheme argument.
-int run_snapshot_pack(const std::string& in, const std::string& out) {
-  const SnapshotInfo info = inspect_snapshot(in);
-  SchemeHandle handle = load_snapshot(in, info.scheme);
-  save_snapshot(out, info.scheme, handle, SchemeRegistry::global(),
-                kSnapshotVersionV2);
-  std::cout << "packed " << in << " (v" << info.version << ") -> " << out
-            << " (v" << kSnapshotVersionV2 << ")\n";
-  print_snapshot_info(inspect_snapshot(out));
-  return 0;
 }
 
 /// `snapshot map-info`: the zero-copy path end to end -- mmap, framing
@@ -436,10 +418,6 @@ int run_snapshot(int argc, char** argv) {
   if (sub == "info") {
     if (argc != 4) return usage();
     return run_snapshot_info(argv[3]);
-  }
-  if (sub == "pack") {
-    if (argc != 5) return usage();
-    return run_snapshot_pack(argv[3], argv[4]);
   }
   if (sub == "map-info") {
     if (argc != 4) return usage();
