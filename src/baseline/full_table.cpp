@@ -83,19 +83,16 @@ std::shared_ptr<const FullTableScheme> FullTableScheme::repair(
   std::shared_ptr<FullTableScheme> s(new FullTableScheme(names));
   s->node_space_ = n;
   s->port_space_ = new_graph.port_space();
-  std::vector<Port> table(nz * nz, kNoPort);
+  // Start from the old table: a clean destination's changed edges are all
+  // strictly slack toward it on their own sides, so its in-tree -- hence its
+  // next-hop column -- is provably unchanged.  Only dirty columns are
+  // recomputed.
+  std::vector<Port> table = old_scheme.next_port_.to_vector();
   const Digraph reversed = new_graph.reversed();
   DijkstraWorkspace ws;
   for (NodeId dest = 0; dest < n; ++dest) {
+    if (dirty[static_cast<std::size_t>(dest)] == 0) continue;
     const auto dn = static_cast<std::size_t>(names.name_of(dest));
-    if (dirty[static_cast<std::size_t>(dest)] == 0) {
-      // Every changed edge is strictly slack toward dest on its own sides:
-      // the in-tree -- hence this next-hop column -- is provably unchanged.
-      for (std::size_t v = 0; v < nz; ++v) {
-        table[v * nz + dn] = old_scheme.next_port_[v * nz + dn];
-      }
-      continue;
-    }
     InTree in = dijkstra_in_tree(new_graph, reversed, dest, ws);
     for (NodeId v = 0; v < n; ++v) {
       if (v == dest) continue;

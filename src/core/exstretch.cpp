@@ -43,13 +43,16 @@ std::vector<typename Map::key_type> sorted_keys(const Map& m) {
 void ExStretchScheme::save_arena(ArenaWriter& w,
                                  const std::string& prefix) const {
   hierarchy_->save_arena(w, prefix + "h/");
+  own_label_.save_arena(w, prefix + "own_");
   w.add(prefix + "nbr_off", nbr_off_);
   w.add(prefix + "nbr_key", nbr_key_);
-  nbr_r2_.save_arena(w, prefix + "nbr_");
+  w.add(prefix + "nbr_tree", nbr_tree_);
+  nbr_label_.save_arena(w, prefix + "nbr_lab_");
   w.add(prefix + "dict_off", dict_off_);
   w.add(prefix + "dict_key", dict_key_);
   w.add(prefix + "dict_node", dict_node_);
-  dict_r2_.save_arena(w, prefix + "dict_");
+  w.add(prefix + "dict_tree", dict_tree_);
+  dict_label_.save_arena(w, prefix + "dict_lab_");
   // The name assignment is not embedded: the arena's top-level names
   // sections are the same assignment, and the loader receives them.
   SnapshotWriter meta;
@@ -74,13 +77,20 @@ ExStretchScheme ExStretchScheme::from_arena(const ArenaView& a,
   const auto rows = static_cast<std::uint64_t>(n) + 1;
   s.hierarchy_ = std::make_shared<const CoverHierarchy>(
       CoverHierarchy::from_arena(a, prefix + "h/", n));
+  s.own_label_ = TreeLabelTable::from_arena(
+      a, prefix + "own_",
+      static_cast<std::uint64_t>(s.hierarchy_->membership_count()));
   s.nbr_off_ = a.vec<std::int64_t>(prefix + "nbr_off", rows);
   s.nbr_key_ = a.vec<NodeName>(prefix + "nbr_key");
-  s.nbr_r2_ = R2Table::from_arena(a, prefix + "nbr_", s.nbr_key_.size());
+  s.nbr_tree_ = a.vec<TreeRef>(prefix + "nbr_tree", s.nbr_key_.size());
+  s.nbr_label_ =
+      TreeLabelTable::from_arena(a, prefix + "nbr_lab_", s.nbr_key_.size());
   s.dict_off_ = a.vec<std::int64_t>(prefix + "dict_off", rows);
   s.dict_key_ = a.vec<std::int64_t>(prefix + "dict_key");
   s.dict_node_ = a.vec<NodeName>(prefix + "dict_node", s.dict_key_.size());
-  s.dict_r2_ = R2Table::from_arena(a, prefix + "dict_", s.dict_key_.size());
+  s.dict_tree_ = a.vec<TreeRef>(prefix + "dict_tree", s.dict_key_.size());
+  s.dict_label_ =
+      TreeLabelTable::from_arena(a, prefix + "dict_lab_", s.dict_key_.size());
   check_arena_csr(s.nbr_off_, s.nbr_key_.size(), prefix + "nbr");
   check_arena_csr(s.dict_off_, s.dict_key_.size(), prefix + "dict");
   s.arena_ = a.storage();
@@ -207,32 +217,71 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
     };
   });
 
-  // Flatten the staging maps into sorted CSR rows.
+  // Flatten the staging maps into sorted CSR rows; the label_u halves of
+  // the R2 labels collapse into one own label per tree membership.
+  TreeLabelTable::Builder own_label;
+  for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
+    const HierarchyLevel& lvl = hierarchy_->level(level);
+    for (NodeId u = 0; u < n; ++u) {
+      for (const auto [t, iu] : lvl.trees_of(u)) {
+        own_label.push(
+            lvl.trees[static_cast<std::size_t>(t)].out_router().label_at(iu));
+      }
+    }
+  }
   std::vector<std::int64_t> nbr_off{0}, dict_off{0};
   std::vector<NodeName> nbr_key, dict_node;
   std::vector<std::int64_t> dict_key;
-  R2Table::Builder nbr_r2, dict_r2;
+  std::vector<TreeRef> nbr_tree, dict_tree;
+  TreeLabelTable::Builder nbr_label, dict_label;
   for (const NodeTables& tab : tables) {
     for (const NodeName name : sorted_keys(tab.nbr_r2)) {
+      const R2Label& r2 = tab.nbr_r2.at(name);
       nbr_key.push_back(name);
-      nbr_r2.push(tab.nbr_r2.at(name));
+      nbr_tree.push_back(r2.tree);
+      nbr_label.push(r2.label_v);
     }
     for (const std::int64_t key : sorted_keys(tab.dict)) {
       const DictEntry& entry = tab.dict.at(key);
       dict_key.push_back(key);
       dict_node.push_back(entry.node);
-      dict_r2.push(entry.r2);
+      dict_tree.push_back(entry.r2.tree);
+      dict_label.push(entry.r2.label_v);
     }
     nbr_off.push_back(static_cast<std::int64_t>(nbr_key.size()));
     dict_off.push_back(static_cast<std::int64_t>(dict_key.size()));
   }
+  own_label_ = own_label.finish();
   nbr_off_ = std::move(nbr_off);
   nbr_key_ = std::move(nbr_key);
-  nbr_r2_ = nbr_r2.finish();
+  nbr_tree_ = std::move(nbr_tree);
+  nbr_label_ = nbr_label.finish();
   dict_off_ = std::move(dict_off);
   dict_key_ = std::move(dict_key);
   dict_node_ = std::move(dict_node);
-  dict_r2_ = dict_r2.finish();
+  dict_tree_ = std::move(dict_tree);
+  dict_label_ = dict_label.finish();
+}
+
+TreeLabel ExStretchScheme::own_label(TreeRef tree, NodeId at) const {
+  if (tree.level < 0) return TreeLabel{};
+  const std::int64_t slot = hierarchy_->membership_slot(tree, at);
+  if (slot < 0) {
+    throw std::logic_error("exstretch: R2 tree does not contain its owner");
+  }
+  return own_label_.at(static_cast<std::size_t>(slot));
+}
+
+Decision ExStretchScheme::launch(NodeId at, TreeRef tree, TreeLabel target,
+                                 Header& h) const {
+  // Push the retrace information and launch the leg (Fig. 4's push).
+  h.stack.push_back(StackEntry{tree, own_label(tree, at)});
+  h.leg = DtLeg{tree, std::move(target), true};
+  const DtStep step = dt_step(*hierarchy_, at, h.leg);
+  if (step.arrived) {
+    throw std::logic_error("exstretch: fresh leg arrived instantly");
+  }
+  return Decision::forward_on(step.port);
 }
 
 Decision ExStretchScheme::advance(NodeId at, Header& h) const {
@@ -252,17 +301,9 @@ Decision ExStretchScheme::advance(NodeId at, Header& h) const {
       ++h.hop;  // v_{i+1} == v_i: advance locally at zero cost
       continue;
     }
-    // Push the retrace information and launch the leg (Fig. 4's push).
-    const TreeRef tree = dict_r2_.tree(ez);
-    h.stack.push_back(StackEntry{tree, dict_r2_.label_u(ez)});
-    h.leg = DtLeg{tree, dict_r2_.label_v(ez), true};
     h.waypoint = dict_node_[ez];
     ++h.hop;
-    DtStep step = dt_step(*hierarchy_, at, h.leg);
-    if (step.arrived) {
-      throw std::logic_error("exstretch: fresh leg arrived instantly");
-    }
-    return Decision::forward_on(step.port);
+    return launch(at, dict_tree_[ez], dict_label_.at(ez), h);
   }
   if (at_name != h.dest) {
     throw std::logic_error("exstretch: hop count exhausted away from dest");
@@ -282,16 +323,9 @@ Decision ExStretchScheme::forward(NodeId at, Header& h) const {
                                           static_cast<std::size_t>(at), h.dest);
           e >= 0) {
         const auto ez = static_cast<std::size_t>(e);
-        const TreeRef tree = nbr_r2_.tree(ez);
-        h.stack.push_back(StackEntry{tree, nbr_r2_.label_u(ez)});
-        h.leg = DtLeg{tree, nbr_r2_.label_v(ez), true};
         h.waypoint = h.dest;
         h.hop = alphabet_.k();
-        DtStep step = dt_step(*hierarchy_, at, h.leg);
-        if (step.arrived) {
-          throw std::logic_error("exstretch: neighbor leg arrived instantly");
-        }
-        return Decision::forward_on(step.port);
+        return launch(at, nbr_tree_[ez], nbr_label_.at(ez), h);
       }
       return advance(at, h);
     }
@@ -376,16 +410,23 @@ void ExStretchScheme::audit(AuditReport& report) const {
   assignment_.audit(report, alphabet_);
 
   const auto n = static_cast<std::size_t>(names_.node_count());
-  const bool sized = nbr_off_.size() == n + 1 && dict_off_.size() == n + 1 &&
-                     nbr_r2_.size() == nbr_key_.size() &&
-                     dict_node_.size() == dict_key_.size() &&
-                     dict_r2_.size() == dict_key_.size();
+  const bool sized =
+      own_label_.size() ==
+          static_cast<std::size_t>(hierarchy_->membership_count()) &&
+      nbr_off_.size() == n + 1 && dict_off_.size() == n + 1 &&
+      nbr_tree_.size() == nbr_key_.size() &&
+      nbr_label_.size() == nbr_key_.size() &&
+      dict_node_.size() == dict_key_.size() &&
+      dict_tree_.size() == dict_key_.size() &&
+      dict_label_.size() == dict_key_.size();
   report.check("tables-sized", sized,
-               "CSR offsets per node, payload arrays parallel to their keys");
+               "one own label per tree membership, CSR offsets per node, "
+               "payload arrays parallel to their keys");
   if (!sized) return;
   const bool framed = csr_framed(nbr_off_, nbr_key_.size()) &&
                       csr_framed(dict_off_, dict_key_.size()) &&
-                      nbr_r2_.framed() && dict_r2_.framed();
+                      own_label_.framed() && nbr_label_.framed() &&
+                      dict_label_.framed();
   report.check("dict-offsets-wellformed", framed,
                "dictionary and label CSR offsets must rise monotonically "
                "from 0 to their entry array sizes");
@@ -440,16 +481,21 @@ TableStats ExStretchScheme::table_stats() const {
   for (NodeId v = 0; v < n; ++v) {
     const auto vz = static_cast<std::size_t>(v);
     std::int64_t entries = 0, bits = 0;
+    // Every entry is accounted a full R2 label, own half included.
+    const auto r2_bits = [&](TreeRef tree, const TreeLabel& label_v) {
+      return r2_label_bits(R2Label{tree, own_label(tree, v), label_v},
+                           node_space_, port_space_);
+    };
     for (auto e = static_cast<std::size_t>(nbr_off_[vz]);
          e < static_cast<std::size_t>(nbr_off_[vz + 1]); ++e) {
       ++entries;
-      bits += id_bits + r2_label_bits(nbr_r2_.at(e), node_space_, port_space_);
+      bits += id_bits + r2_bits(nbr_tree_[e], nbr_label_.at(e));
     }
     for (auto e = static_cast<std::size_t>(dict_off_[vz]);
          e < static_cast<std::size_t>(dict_off_[vz + 1]); ++e) {
       ++entries;
       bits += 2 * id_bits /* key */ + id_bits +
-              r2_label_bits(dict_r2_.at(e), node_space_, port_space_);
+              r2_bits(dict_tree_[e], dict_label_.at(e));
     }
     stats.add(v, entries, bits);
   }

@@ -101,15 +101,25 @@ class ExStretchScheme {
   }
 
   /// Auditable: delegates to the naming, alphabet, cover hierarchy, and
-  /// block assignment, then checks the per-node dictionaries: CSR offsets
-  /// framing parallel arrays, sorted unique keys per row, every dictionary
-  /// key decoding to a valid (level, prefix) pair, and in-range names.
+  /// block assignment, then checks the per-node dictionaries: one own label
+  /// per tree membership, CSR offsets framing parallel arrays, sorted unique
+  /// keys per row, every dictionary key decoding to a valid (level, prefix)
+  /// pair, and in-range names.
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditTestPeer;
   ExStretchScheme(NameAssignment names, Alphabet alphabet)
       : names_(std::move(names)), alphabet_(std::move(alphabet)) {}
+
+  /// R2(at, .)'s label_u half: at's own label in `tree` (an R2 tree of
+  /// at's always contains at).  An empty label for the tree-less entry of a
+  /// waypoint that is `at` itself.
+  [[nodiscard]] TreeLabel own_label(TreeRef tree, NodeId at) const;
+
+  /// Pushes R2(at, v)'s retrace entry and launches its forward leg.
+  [[nodiscard]] Decision launch(NodeId at, TreeRef tree, TreeLabel target,
+                                Header& h) const;
 
   [[nodiscard]] std::int64_t pack(int i, PrefixValue p) const {
     return static_cast<std::int64_t>(i) * alphabet_.power(alphabet_.k()) + p;
@@ -123,18 +133,27 @@ class ExStretchScheme {
   Alphabet alphabet_;
   std::shared_ptr<const CoverHierarchy> hierarchy_;
   BlockAssignment assignment_;
+  // Every R2(u, v) label u stores names a tree containing u and u's own
+  // label in it; u keeps that label once per tree, indexed by membership
+  // slot (CoverHierarchy::membership_slot), and each entry below keeps
+  // only the tree and v's label.
+  TreeLabelTable own_label_;
   // (2): R2(u, v) for v in N_1(u), CSR over nodes: row u's sorted names are
-  // nbr_key_[nbr_off_[u] .. nbr_off_[u+1]), entry e's label nbr_r2_.at(e).
+  // nbr_key_[nbr_off_[u] .. nbr_off_[u+1]); entry e's R2 tree is
+  // nbr_tree_[e] and v's label nbr_label_.at(e).
   FlatVec<std::int64_t> nbr_off_;  // n + 1
   FlatVec<NodeName> nbr_key_;
-  R2Table nbr_r2_;
+  FlatVec<TreeRef> nbr_tree_;
+  TreeLabelTable nbr_label_;
   // (3a)+(3b), CSR over nodes: keys pack(level i, value of the (i+1)-digit
   // target prefix), sorted per row; entry e names the nearest holder of a
-  // matching block (dict_node_[e]) and the R2 label to it (dict_r2_.at(e)).
+  // matching block (dict_node_[e]) and the R2 label to it (tree
+  // dict_tree_[e], the holder's label dict_label_.at(e)).
   FlatVec<std::int64_t> dict_off_;  // n + 1
   FlatVec<std::int64_t> dict_key_;
   FlatVec<NodeName> dict_node_;
-  R2Table dict_r2_;
+  FlatVec<TreeRef> dict_tree_;
+  TreeLabelTable dict_label_;
   /// Keepalive when the arrays are views into a mapped arena.
   std::shared_ptr<const ArenaStorage> arena_;
   std::int64_t node_space_ = 0;

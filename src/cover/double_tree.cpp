@@ -83,21 +83,19 @@ void DoubleTree::audit(AuditReport& report) const {
   out_router_.audit(report);
 }
 
-DoubleTree DoubleTree::adopt(Dist rt_height, FlatVec<Port> up_port,
-                             FlatVec<Dist> up_dist, FlatVec<Dist> down_dist,
-                             TreeRouter out_router) {
-  const auto m = static_cast<std::size_t>(out_router.member_count());
-  if (up_port.size() != m || up_dist.size() != m || down_dist.size() != m) {
+DoubleTree::DoubleTree(Dist rt_height, FlatVec<Port> up_port,
+                       FlatVec<Dist> up_dist, FlatVec<Dist> down_dist,
+                       TreeRouter out_router)
+    : rt_height_(rt_height),
+      up_port_(std::move(up_port)),
+      up_dist_(std::move(up_dist)),
+      down_dist_(std::move(down_dist)),
+      out_router_(std::move(out_router)) {
+  const auto m = static_cast<std::size_t>(out_router_.member_count());
+  if (up_port_.size() != m || up_dist_.size() != m || down_dist_.size() != m) {
     throw std::invalid_argument(
         "DoubleTree: adopted arrays disagree with the member count");
   }
-  DoubleTree t;
-  t.rt_height_ = rt_height;
-  t.up_port_ = std::move(up_port);
-  t.up_dist_ = std::move(up_dist);
-  t.down_dist_ = std::move(down_dist);
-  t.out_router_ = std::move(out_router);
-  return t;
 }
 
 }  // namespace rtr

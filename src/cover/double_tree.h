@@ -44,10 +44,8 @@ class DoubleTree {
   /// (views into a mapped arena, typically) next to its out-tree router.
   /// Throws std::invalid_argument when an array's length is not the
   /// router's member count.
-  [[nodiscard]] static DoubleTree adopt(Dist rt_height, FlatVec<Port> up_port,
-                                        FlatVec<Dist> up_dist,
-                                        FlatVec<Dist> down_dist,
-                                        TreeRouter out_router);
+  DoubleTree(Dist rt_height, FlatVec<Port> up_port, FlatVec<Dist> up_dist,
+             FlatVec<Dist> down_dist, TreeRouter out_router);
 
   [[nodiscard]] NodeId center() const { return out_router_.root(); }
   /// Sorted ascending; member index i is members()[i].
@@ -100,7 +98,6 @@ class DoubleTree {
 
  private:
   friend struct AuditTestPeer;
-  DoubleTree() = default;  // adopt() fills the members
   Dist rt_height_ = 0;
   FlatVec<Port> up_port_;    // per member
   FlatVec<Dist> up_dist_;    // per member

@@ -200,13 +200,12 @@ CoverHierarchy CoverHierarchy::from_arena(const ArenaView& a,
            t < static_cast<std::size_t>(last); ++t) {
         const std::int64_t lo = member_off[t];
         const std::int64_t hi = member_off[t + 1];
-        level.trees.push_back(DoubleTree::adopt(
+        level.trees.emplace_back(
             height[t], slice(up_port, lo, hi), slice(up_dist, lo, hi),
             slice(down_dist, lo, hi),
-            TreeRouter::adopt(root[t], slice(members, lo, hi),
-                              slice(tables, lo, hi), slice(parent, lo, hi),
-                              slice(parent_port, lo, hi),
-                              slice(heavy, lo, hi))));
+            TreeRouter(root[t], slice(members, lo, hi), slice(tables, lo, hi),
+                       slice(parent, lo, hi), slice(parent_port, lo, hi),
+                       slice(heavy, lo, hi)));
       }
       index_memberships(level, static_cast<std::size_t>(n));
       level.slot_base = h.membership_count();

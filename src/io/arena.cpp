@@ -341,16 +341,28 @@ ArenaView::ArenaView(std::shared_ptr<const ArenaStorage> storage)
   }
 }
 
+namespace {
+
+/// e's NUL-padded name equals `name` (no allocation: loaders look up dozens
+/// of sections per map).
+bool named(const ArenaDirEntry& e, const std::string& name) {
+  return name.size() < sizeof e.name &&
+         name.compare(0, name.size(), e.name, name.size()) == 0 &&
+         e.name[name.size()] == '\0';
+}
+
+}  // namespace
+
 bool ArenaView::has(const std::string& name) const {
   for (const ArenaDirEntry& e : entries_) {
-    if (e.name_str() == name) return true;
+    if (named(e, name)) return true;
   }
   return false;
 }
 
 const ArenaDirEntry& ArenaView::entry(const std::string& name) const {
   for (const ArenaDirEntry& e : entries_) {
-    if (e.name_str() == name) return e;
+    if (named(e, name)) return e;
   }
   throw SnapshotArenaError("arena: missing section '" + name + "'");
 }

@@ -2,36 +2,9 @@
 
 #include <stdexcept>
 
-#include "io/arena.h"
 #include "util/bit_cost.h"
 
 namespace rtr {
-
-void R2Table::Builder::push(const R2Label& label) {
-  tree_.push_back(label.tree);
-  labels_.push(label.label_u);
-  labels_.push(label.label_v);
-}
-
-R2Table R2Table::Builder::finish() {
-  R2Table t;
-  t.tree_ = std::move(tree_);
-  t.labels_ = labels_.finish();
-  return t;
-}
-
-void R2Table::save_arena(ArenaWriter& w, const std::string& prefix) const {
-  w.add(prefix + "tree", tree_);
-  labels_.save_arena(w, prefix + "lab_");
-}
-
-R2Table R2Table::from_arena(const ArenaView& a, const std::string& prefix,
-                            std::uint64_t count) {
-  R2Table t;
-  t.tree_ = a.vec<TreeRef>(prefix + "tree", count);
-  t.labels_ = TreeLabelTable::from_arena(a, prefix + "lab_", 2 * count);
-  return t;
-}
 
 DtStep dt_step(const CoverHierarchy& hierarchy, NodeId at, DtLeg& leg) {
   const DoubleTree& tree = hierarchy.tree(leg.tree);

@@ -21,9 +21,6 @@
 #ifndef RTR_RTZ_HANDSHAKE_H
 #define RTR_RTZ_HANDSHAKE_H
 
-#include <string>
-#include <vector>
-
 #include "cover/hierarchy.h"
 #include "net/table_stats.h"
 #include "treeroute/tree_router.h"
@@ -35,48 +32,6 @@ struct R2Label {
   TreeRef tree;
   TreeLabel label_u;  // u's address in the tree (for the return trip)
   TreeLabel label_v;  // v's address in the tree (for the forward trip)
-};
-
-/// Many R2 labels in one flat, arena-storable layout: entry e is the tree
-/// tree(e) with u's label at 2e and v's label at 2e + 1 of one label table.
-class R2Table {
- public:
-  class Builder {
-   public:
-    void push(const R2Label& label);
-    [[nodiscard]] R2Table finish();
-
-   private:
-    std::vector<TreeRef> tree_;
-    TreeLabelTable::Builder labels_;
-  };
-
-  [[nodiscard]] std::size_t size() const { return tree_.size(); }
-  [[nodiscard]] TreeRef tree(std::size_t e) const { return tree_[e]; }
-  [[nodiscard]] TreeLabel label_u(std::size_t e) const {
-    return labels_.at(2 * e);
-  }
-  [[nodiscard]] TreeLabel label_v(std::size_t e) const {
-    return labels_.at(2 * e + 1);
-  }
-  [[nodiscard]] R2Label at(std::size_t e) const {
-    return R2Label{tree(e), label_u(e), label_v(e)};
-  }
-  /// True when the label table holds two framed labels per entry.
-  [[nodiscard]] bool framed() const {
-    return labels_.size() == 2 * tree_.size() && labels_.framed();
-  }
-
-  /// Writes prefix + "tree" and the labels under prefix + "lab_".
-  void save_arena(ArenaWriter& w, const std::string& prefix) const;
-  /// Views those sections, which must hold exactly `count` entries.
-  [[nodiscard]] static R2Table from_arena(const ArenaView& a,
-                                          const std::string& prefix,
-                                          std::uint64_t count);
-
- private:
-  FlatVec<TreeRef> tree_;
-  TreeLabelTable labels_;
 };
 
 /// A one-way trip through a double tree: climb to the root, descend to the

@@ -102,30 +102,27 @@ TreeRouter::TreeRouter(NodeId root, std::vector<NodeId> members,
   heavy_child_ = std::move(heavy_child);
 }
 
-TreeRouter TreeRouter::adopt(NodeId root, FlatVec<NodeId> members,
-                             FlatVec<TreeNodeTable> tables,
-                             FlatVec<std::int32_t> parent,
-                             FlatVec<Port> parent_port,
-                             FlatVec<std::int32_t> heavy_child) {
-  const auto m = members.size();
+TreeRouter::TreeRouter(NodeId root, FlatVec<NodeId> members,
+                       FlatVec<TreeNodeTable> tables,
+                       FlatVec<std::int32_t> parent, FlatVec<Port> parent_port,
+                       FlatVec<std::int32_t> heavy_child)
+    : root_(root),
+      members_(std::move(members)),
+      tables_(std::move(tables)),
+      parent_(std::move(parent)),
+      parent_port_(std::move(parent_port)),
+      heavy_child_(std::move(heavy_child)) {
+  const auto m = members_.size();
   const auto in_range = [m](std::int32_t i) {
     return i >= -1 && i < static_cast<std::int64_t>(m);
   };
-  if (tables.size() != m || parent.size() != m || parent_port.size() != m ||
-      heavy_child.size() != m ||
-      !std::all_of(parent.begin(), parent.end(), in_range) ||
-      !std::all_of(heavy_child.begin(), heavy_child.end(), in_range)) {
+  if (tables_.size() != m || parent_.size() != m || parent_port_.size() != m ||
+      heavy_child_.size() != m ||
+      !std::all_of(parent_.begin(), parent_.end(), in_range) ||
+      !std::all_of(heavy_child_.begin(), heavy_child_.end(), in_range)) {
     throw std::invalid_argument(
         "TreeRouter: adopted arrays disagree with the member count");
   }
-  TreeRouter r;
-  r.root_ = root;
-  r.members_ = std::move(members);
-  r.tables_ = std::move(tables);
-  r.parent_ = std::move(parent);
-  r.parent_port_ = std::move(parent_port);
-  r.heavy_child_ = std::move(heavy_child);
-  return r;
 }
 
 namespace {

@@ -218,11 +218,9 @@ class TreeRouter {
   /// into a mapped arena, typically).  Checks the arrays share one length
   /// and every parent / heavy-child index is a member index or -1; throws
   /// std::invalid_argument otherwise.  The deep audit checks the rest.
-  [[nodiscard]] static TreeRouter adopt(NodeId root, FlatVec<NodeId> members,
-                                        FlatVec<TreeNodeTable> tables,
-                                        FlatVec<std::int32_t> parent,
-                                        FlatVec<Port> parent_port,
-                                        FlatVec<std::int32_t> heavy_child);
+  TreeRouter(NodeId root, FlatVec<NodeId> members,
+             FlatVec<TreeNodeTable> tables, FlatVec<std::int32_t> parent,
+             FlatVec<Port> parent_port, FlatVec<std::int32_t> heavy_child);
 
   [[nodiscard]] NodeId root() const { return root_; }
   [[nodiscard]] NodeId member_count() const {

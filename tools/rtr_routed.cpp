@@ -23,7 +23,7 @@
 //   rtr_routed --snapshot FILE [--mapped] [--scheme NAME] ...
 //       Serves a prebuilt .rtrsnap dataset instead of building: the OSRM
 //       routed-over-prebuilt-dataset mode.  --mapped serves straight off an
-//       mmap of the file (v2 snapshots).
+//       mmap of the file.
 //
 // On exit (duration elapsed or SIGINT/SIGTERM) the final /stats document is
 // printed to stdout.
