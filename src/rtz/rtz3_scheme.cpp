@@ -178,18 +178,33 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
 
 void Rtz3Scheme::adopt_tables(std::vector<NodeTables>&& tables) {
   const std::size_t n = tables.size();
+  std::size_t ball_total = 0, mem_total = 0, hop_total = 0;
+  for (const NodeTables& t : tables) {
+    if (t.member_out_tab.size() != t.member_up_port.size()) {
+      throw std::invalid_argument(
+          "rtz3: member dictionaries of one node disagree in size");
+    }
+    ball_total += t.ball_out_label.size();
+    mem_total += t.member_out_tab.size();
+    for (std::size_t i = 0; i < t.ball_out_label.size(); ++i) {
+      hop_total += t.ball_out_label.value_at(i).light_hops.size();
+    }
+  }
   std::vector<std::int64_t> ball_off{0}, mem_off{0};
   std::vector<NodeName> ball_key;
   TreeLabelTable::Builder ball_labels;
   std::vector<NodeName> mem_key;
   std::vector<TreeNodeTable> mem_tab;
   std::vector<Port> mem_up;
+  ball_off.reserve(n + 1);
+  mem_off.reserve(n + 1);
+  ball_key.reserve(ball_total);
+  ball_labels.reserve(ball_total, hop_total);
+  mem_key.reserve(mem_total);
+  mem_tab.reserve(mem_total);
+  mem_up.reserve(mem_total);
   for (std::size_t v = 0; v < n; ++v) {
     const NodeTables& t = tables[v];
-    if (t.member_out_tab.size() != t.member_up_port.size()) {
-      throw std::invalid_argument(
-          "rtz3: member dictionaries of one node disagree in size");
-    }
     for (std::size_t i = 0; i < t.ball_out_label.size(); ++i) {
       ball_key.push_back(t.ball_out_label.key_at(i));
       ball_labels.push(t.ball_out_label.value_at(i));

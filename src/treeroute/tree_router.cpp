@@ -296,6 +296,12 @@ TreeLabel TreeRouter::label_at(std::int32_t i) const {
   return lab;
 }
 
+void TreeLabelTable::Builder::reserve(std::size_t labels, std::size_t hops) {
+  dfs_.reserve(labels);
+  hop_off_.reserve(labels + 1);
+  hops_.reserve(hops);
+}
+
 void TreeLabelTable::Builder::push(const TreeLabel& label) {
   dfs_.push_back(label.dfs_in);
   for (const auto& [dfs, port] : label.light_hops) {

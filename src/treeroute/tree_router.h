@@ -159,6 +159,8 @@ class TreeLabelTable {
  public:
   class Builder {
    public:
+    /// Capacity for `labels` labels holding `hops` light hops in total.
+    void reserve(std::size_t labels, std::size_t hops);
     void push(const TreeLabel& label);
     [[nodiscard]] TreeLabelTable finish();
 
