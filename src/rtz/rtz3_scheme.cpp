@@ -544,8 +544,10 @@ Rtz3Scheme Rtz3Scheme::from_arena(const ArenaView& a, const std::string& prefix,
       TreeLabelTable::from_arena(a, prefix + "addr_", n);
   s.addresses_.resize(static_cast<std::size_t>(n));
   for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-    s.addresses_[v] = RtzAddress{names.name_of(static_cast<NodeId>(v)),
-                                 actr[v], alabels.at(v)};
+    RtzAddress& addr = s.addresses_[v];
+    addr.name = names.name_of(static_cast<NodeId>(v));
+    addr.center_index = actr[v];
+    alabels.copy_to(v, addr.center_label);
   }
 
   SnapshotReader meta = a.reader(prefix + "meta");

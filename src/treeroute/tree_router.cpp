@@ -318,15 +318,13 @@ TreeLabelTable TreeLabelTable::Builder::finish() {
   return t;
 }
 
-TreeLabel TreeLabelTable::at(std::size_t e) const {
-  TreeLabel label;
-  label.dfs_in = dfs_[e];
+void TreeLabelTable::copy_to(std::size_t e, TreeLabel& out) const {
+  out.dfs_in = dfs_[e];
   const auto lo = static_cast<std::size_t>(hop_off_[e]);
   const auto hi = static_cast<std::size_t>(hop_off_[e + 1]);
   for (std::size_t i = lo; i < hi; ++i) {
-    label.light_hops.emplace_back(hops_[i].dfs, hops_[i].port);
+    out.light_hops.emplace_back(hops_[i].dfs, hops_[i].port);
   }
-  return label;
 }
 
 bool TreeLabelTable::framed() const {

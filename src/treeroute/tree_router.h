@@ -175,7 +175,14 @@ class TreeLabelTable {
 
   [[nodiscard]] std::size_t size() const { return dfs_.size(); }
   /// Label e, materialized (no allocation for <= 8 light hops).
-  [[nodiscard]] TreeLabel at(std::size_t e) const;
+  [[nodiscard]] TreeLabel at(std::size_t e) const {
+    TreeLabel label;
+    copy_to(e, label);
+    return label;
+  }
+  /// Writes label e into `out`, which must be empty (fills a label in
+  /// place, without a temporary).
+  void copy_to(std::size_t e, TreeLabel& out) const;
 
   /// True when the hop offsets rise monotonically from 0 to the hop count,
   /// one offset per label plus one (the audits check this shape).
