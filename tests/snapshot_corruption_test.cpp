@@ -4,8 +4,6 @@
 // persistence layer).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
 #include <fstream>
 #include <vector>
