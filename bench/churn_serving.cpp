@@ -46,7 +46,7 @@ bool run_scheme(const std::string& scheme_name) {
   opts.churn.rehome_nodes = kNodes / 50;
   ChurnRunResult result =
       run_churn_workload(std::move(g), std::move(names), opts);
-  std::cout << result.json << std::endl;
+  std::cout << result.json.dump() << std::endl;
   if (!result.last_error.empty()) {
     std::cerr << scheme_name << ": rebuild failed: " << result.last_error
               << "\n";

@@ -4,12 +4,6 @@
 // Each bench builds graph instances, runs roundtrip simulations over sampled
 // (or exhaustive) pairs, and prints the rows the corresponding paper artifact
 // reports.  Binaries take no arguments and bound their own runtime.
-//
-// Two measurement paths are provided:
-//   * the duck-typed template measure_stretch (no vtable on the forwarding
-//     hot path) for perf-sensitive benches, and
-//   * the registry/engine path (build_scheme + measure_stretch over
-//     rtr::Scheme) which shards the batch across a QueryEngine worker pool.
 #ifndef RTR_BENCH_COMMON_H
 #define RTR_BENCH_COMMON_H
 
@@ -24,6 +18,7 @@
 #include "graph/generators.h"
 #include "net/query_engine.h"
 #include "net/scheme.h"
+#include "net/scheme_adapter.h"
 #include "net/simulator.h"
 #include "rt/metric.h"
 #include "util/rng.h"
@@ -88,42 +83,15 @@ void record_cell(bench_harness::CellResult cell);
 /// same machine-readable schema the rtr_bench orchestrator emits.
 [[nodiscard]] int finish(const std::string& tool);
 
-/// Template fast path: same aggregation, no virtual dispatch, single thread.
-template <TemplatedScheme Scheme>
-StretchReport measure_stretch(const ExperimentInstance& inst,
-                              const Scheme& scheme, std::int64_t pair_budget,
-                              std::uint64_t seed) {
-  StretchReport report;
-  Summary stretch;
-  const NodeId n = inst.n();
-  const auto start = std::chrono::steady_clock::now();
-  auto run_pair = [&](NodeId s, NodeId t) {
-    auto res = simulate_roundtrip(inst.graph(), scheme, s, t,
-                                  inst.names.name_of(t));
-    ++report.pairs;
-    if (!res.ok()) {
-      ++report.failures;
-      return;
-    }
-    stretch.add(static_cast<double>(res.roundtrip_length()) /
-                static_cast<double>(inst.metric->r(s, t)));
-    report.max_header_bits = std::max(report.max_header_bits, res.max_header_bits);
-  };
-  // One sampler for every measurement path (exhaustive under the budget,
-  // rejection-sampled uniform ordered pairs above it).
-  for (const RoundtripQuery& q : QueryEngine::sample_pairs(n, pair_budget, seed)) {
-    run_pair(q.src, q.dst);
-  }
-  if (stretch.count() > 0) {
-    report.mean_stretch = stretch.mean();
-    report.p99_stretch = stretch.percentile(0.99);
-    report.max_stretch = stretch.max();
-  }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  gate_failures(report.failures, scheme.name());
-  return report;
+/// Concrete-scheme overload: wraps `scheme` (non-owning; the caller keeps it
+/// alive) as an rtr::Scheme and measures it on one worker through the
+/// engine overload above.
+template <TemplatedScheme S>
+StretchReport measure_stretch(const ExperimentInstance& inst, const S& scheme,
+                              std::int64_t pair_budget, std::uint64_t seed) {
+  return measure_stretch(
+      inst, adapt_scheme(std::shared_ptr<const S>(&scheme, [](const S*) {})),
+      pair_budget, seed, /*threads=*/1);
 }
 
 /// Pretty banner for a bench section.

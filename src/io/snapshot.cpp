@@ -160,22 +160,6 @@ std::string publish_snapshot_shm(const std::string& path,
   return view.scheme();
 }
 
-SnapshotInfo inspect_snapshot(const std::string& path) {
-  ArenaView view(make_owned_arena(slurp(path)));
-  view.verify_section_crcs();
-  SnapshotInfo info;
-  info.version = kSnapshotVersion;
-  info.scheme = view.scheme();
-  info.node_count = static_cast<NodeId>(view.header().node_count);
-  info.edge_count = static_cast<std::int64_t>(view.header().edge_count);
-  info.file_bytes = view.file_bytes();
-  for (const ArenaDirEntry& e : view.entries()) {
-    info.sections.push_back(
-        SnapshotSectionInfo{e.name_str(), e.byte_size(), e.crc});
-  }
-  return info;
-}
-
 bool SnapshotFileStatus::all_ok() const {
   if (!framing_ok) return false;
   for (const auto& s : sections) {

@@ -44,22 +44,6 @@ namespace rtr {
 /// The one format version this binary reads and writes.
 inline constexpr std::uint32_t kSnapshotVersion = kArenaFormatVersion;
 
-/// Everything `rtr_cli snapshot info` prints without loading the tables.
-struct SnapshotSectionInfo {
-  std::string name;
-  std::uint64_t bytes = 0;
-  std::uint32_t crc = 0;
-};
-
-struct SnapshotInfo {
-  std::uint32_t version = 0;
-  std::string scheme;  // registry name, e.g. "stretch6"
-  NodeId node_count = 0;
-  std::int64_t edge_count = 0;
-  std::uint64_t file_bytes = 0;
-  std::vector<SnapshotSectionInfo> sections;
-};
-
 /// Serializes a built handle under the registry name it was built as.  The
 /// registry must have snapshot hooks for that name.  Writes to a temporary
 /// sibling first and renames into place, so readers never observe a torn
@@ -100,10 +84,6 @@ void save_snapshot(const std::string& path, const std::string& scheme_name,
 std::string publish_snapshot_shm(const std::string& path,
                                  const std::string& shm_name);
 
-/// Validates framing and checksums and returns the header/section table
-/// without constructing the scheme (cheap: one pass over the file).
-[[nodiscard]] SnapshotInfo inspect_snapshot(const std::string& path);
-
 /// One section's health as seen by probe_snapshot: the stored CRC next to
 /// the one recomputed over the payload actually on disk.
 struct SnapshotSectionStatus {
@@ -117,11 +97,12 @@ struct SnapshotSectionStatus {
   bool crc_ok = false;
 };
 
-/// Lenient per-section probe result.  Unlike inspect_snapshot, a bad
-/// checksum does not abort the walk: every section that the framing reaches
-/// is reported with its stored-vs-recomputed CRC, so tooling can say *which*
-/// section is damaged.  `framing_error` is set when the walk itself had to
-/// stop early (bad magic, wrong version, header CRC mismatch, truncation).
+/// Lenient per-section probe result: the header and section table, read
+/// without constructing the scheme.  A bad checksum does not abort the
+/// walk: every section that the framing reaches is reported with its
+/// stored-vs-recomputed CRC, so tooling can say *which* section is damaged.
+/// `framing_error` is set when the walk itself had to stop early (bad
+/// magic, wrong version, header CRC mismatch, truncation).
 struct SnapshotFileStatus {
   bool framing_ok = false;
   std::string framing_error;

@@ -1,36 +1,30 @@
 // Batched, parallel execution of roundtrip queries against one built scheme.
 //
 // The serving model the ROADMAP aims at: a scheme is preprocessed once, then
-// answers heavy streams of (src, dst) roundtrip queries.  The engine shards a
-// batch across a std::thread worker pool (scheme tables are immutable after
-// construction, so forwarding is embarrassingly parallel), gives every worker
-// its own deterministic Rng for pair sampling, and folds the per-worker
-// stretch summaries into one StretchReport.
+// answers heavy streams of (src, dst) roundtrip queries.  Scheme tables are
+// immutable after construction, so forwarding is embarrassingly parallel.
 //
-// Every batch entry point takes one BatchOptions knob bag (pair budget,
-// sampling seed, per-call worker cap):
+// There is one way to do each job:
 //
-//   * run_batch(queries, opts)  -- explicit batch; result independent of the
-//                                  worker count (static sharding).
-//   * run_sampled(opts)         -- samples `opts.pair_budget` ordered pairs,
-//                                  exhaustive when the budget covers all
-//                                  n(n-1) pairs.  The pair list is drawn from
-//                                  Rng(opts.seed) before sharding, so the
-//                                  report is a function of (budget, seed)
-//                                  alone -- identical for every worker count
-//                                  (the determinism regression test pins it).
-//   * serve(src, dst)           -- one query, typed ServingResult, never
-//                                  throws; the serving stack's entry point.
-//   * serve_batch(queries, opts)-- per-query ServingResults (the rtr_routed
-//                                  request-coalescing path), sharded like
-//                                  run_batch.
-//   * roundtrip(src, dst)       -- one query, on the caller's thread; throws
-//                                  on bad ids (measurement/debug use).
+//   * serve(src, dst)            -- the one query routine: typed
+//                                   ServingResult, never throws.
+//   * serve_batch(queries, opts) -- the one parallel loop: serve() over a
+//                                   batch, statically sharded across a
+//                                   std::thread pool; results[i] answers
+//                                   queries[i] (the rtr_routed
+//                                   request-coalescing path).
+//   * run_batch(queries, opts)   -- the one fold: serve_batch's results,
+//                                   folded serially in batch order into a
+//                                   StretchReport.  The report is identical
+//                                   for every worker count.
+//   * run_sampled(opts)          -- run_batch over sample_pairs(): the pair
+//                                   list is drawn from Rng(opts.seed) up
+//                                   front, so the report is a function of
+//                                   (budget, seed) alone.
 //
-// Every entry point routes a query through Scheme::simulate, the one
-// roundtrip walk, so a batch report, a served answer and a single roundtrip
-// agree query for query.  All members are const; one engine may be shared
-// by many caller threads.
+// serve routes a query through Scheme::simulate, the one roundtrip walk, so
+// a batch report and a served answer agree query for query.  All members are
+// const; one engine may be shared by many caller threads.
 #ifndef RTR_NET_QUERY_ENGINE_H
 #define RTR_NET_QUERY_ENGINE_H
 
@@ -74,7 +68,6 @@ struct RoundtripQuery {
 struct QueryEngineOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   int threads = 0;
-  SimOptions sim;
 };
 
 /// The one knob bag every batch entry point shares (and the server's
@@ -87,7 +80,8 @@ struct BatchOptions {
   /// Sampling seed for run_sampled's pair list.
   std::uint64_t seed = 0;
   /// Per-call worker cap; 0 uses the engine's configured width.  The report
-  /// never depends on this (static sharding), only the wall time does.
+  /// never depends on this (run_batch folds in batch order), only the wall
+  /// time does.
   int threads = 0;
 };
 
@@ -114,10 +108,6 @@ class QueryEngine {
   [[nodiscard]] const NameAssignment& names() const { return names_; }
   [[nodiscard]] int worker_count() const { return threads_; }
 
-  /// One roundtrip on the caller's thread; throws std::out_of_range for ids
-  /// outside [0, n) (batch entry points count those as failures instead).
-  [[nodiscard]] RouteResult roundtrip(NodeId src, NodeId dst) const;
-
   /// The pair list run_sampled routes: every ordered pair once when the
   /// budget covers all n(n-1) of them, otherwise `pair_budget` pairs drawn
   /// from Rng(seed) by rejection sampling (a draw with s == t is redrawn
@@ -132,42 +122,30 @@ class QueryEngine {
   /// `epoch` is left 0 -- the serving layer that pinned an epoch fills it in.
   [[nodiscard]] ServingResult serve(NodeId src, NodeId dst) const;
 
-  /// serve() over a batch, sharded across the worker pool like run_batch
-  /// (contiguous slices into a preallocated result vector; disjoint writes,
-  /// no locks).  results[i] always answers queries[i].  This is the server's
+  /// serve() over a batch, sharded across the worker pool (contiguous
+  /// slices into a preallocated result vector; disjoint writes, no locks).
+  /// results[i] always answers queries[i].  This is the server's
   /// request-coalescing path.
   [[nodiscard]] std::vector<ServingResult> serve_batch(
       const std::vector<RoundtripQuery>& queries,
       const BatchOptions& options = {}) const;
 
-  /// Executes the batch across the worker pool.
-  ///
-  /// Layout: a serial prepass validates every query once and transposes the
-  /// batch into structure-of-arrays form (src / dst / resolved destination
-  /// name in separate contiguous arrays), so the worker hot loop runs the
-  /// simulator back-to-back with no per-query validation branches, no name
-  /// lookups, and sequential operand reads.  The report is identical for any
-  /// worker count.
+  /// serve_batch over the batch, then a serial fold of its results in batch
+  /// order: `invalid` counts kInvalidQuery, `failures` every non-ok result,
+  /// `first_error` is the lowest-index failure's message, and stretch is
+  /// r-normalised over the delivered pairs whose r(src, dst) > 0.  The
+  /// report is identical for any worker count.
   [[nodiscard]] StretchReport run_batch(
       const std::vector<RoundtripQuery>& queries,
       const BatchOptions& options = {}) const;
 
   /// Samples `options.pair_budget` ordered pairs (exhaustive if the budget
   /// covers all of them).  The sample is drawn from Rng(options.seed) up
-  /// front and sharded via run_batch, so the report does not depend on the
+  /// front and run through run_batch, so the report does not depend on the
   /// worker count.
   [[nodiscard]] StretchReport run_sampled(const BatchOptions& options) const;
 
  private:
-  struct WorkerTally;
-  struct BatchPlan;
-
-  void run_one(std::size_t index, NodeId src, NodeId dst, NodeName dst_name,
-               WorkerTally& tally) const;
-  void run_span(const BatchPlan& plan, std::size_t begin, std::size_t end,
-                WorkerTally& tally) const;
-  [[nodiscard]] StretchReport finalize(std::vector<WorkerTally> tallies,
-                                       double wall_seconds) const;
   /// Worker count for a batch of `work` items under a per-call cap.
   [[nodiscard]] int effective_workers(int cap, std::size_t work) const;
 
@@ -175,7 +153,6 @@ class QueryEngine {
   std::shared_ptr<const RoundtripMetric> metric_;
   NameAssignment names_;
   std::shared_ptr<const Scheme> scheme_;
-  QueryEngineOptions options_;
   int threads_;
 };
 

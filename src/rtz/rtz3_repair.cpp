@@ -30,10 +30,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <utility>
@@ -87,16 +84,6 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
   }
 
   const int workers = resolve_apsp_threads(options.threads);
-
-  const bool phase_debug = std::getenv("RTR_RTZ_PHASE_DEBUG") != nullptr;
-  auto dbg_t0 = std::chrono::steady_clock::now();
-  auto lap = [&](const char* what) {
-    if (!phase_debug) return;
-    auto t1 = std::chrono::steady_clock::now();
-    std::fprintf(stderr, "[rtz3 repair] %-18s %8.1f ms\n", what,
-                 std::chrono::duration<double, std::milli>(t1 - dbg_t0).count());
-    dbg_t0 = t1;
-  };
 
   // --- weight-only slack fast path -----------------------------------------
   // When every changed edge is a weight-only re-pricing with a strictly
@@ -156,11 +143,9 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
         }
       }
     }
-    lap("slack fast path");
   } else {
     // --- nearest centers on the new graph, exactly as build_ball_system ---
     new_metric.nearest_all(centers, workers, nearest, r_new);
-    lap("nearest_all");
 
     // --- per-ball dirty bits -----------------------------------------------
     // Ball(v) only sees members with roundtrip distance < r(v, A); querying
@@ -180,7 +165,6 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
         dirty[vz] = 1;
       }
     }
-    lap("oracle+dirty");
     // The oracle proof implies a clean ball kept its radius and (by the
     // no-closer-center argument) its nearest center; verify rather than
     // assume -- disagreement means fall back, never corrupt.
@@ -191,13 +175,6 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
         return nullptr;
       }
     }
-  }
-  if (phase_debug) {
-    std::size_t dirty_count = 0;
-    for (char c : dirty) dirty_count += static_cast<std::size_t>(c);
-    std::fprintf(stderr, "[rtz3 repair] dirty %zu / %d (touched %zu%s)\n",
-                 dirty_count, n, delta.touched.size(),
-                 fast ? ", slack fast path" : "");
   }
 
   // --- ball rows: splice clean, recompute dirty ----------------------------
@@ -264,7 +241,6 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
   sys.r_to_centers = std::move(r_new);
   sys.nearest_center = std::move(nearest);
   sys.adopt_rows(ball_rows, cluster_rows);
-  lap("ball rows");
 
   std::shared_ptr<Rtz3Scheme> s(new Rtz3Scheme(new_graph, names));
   s->balls_ = std::move(sys);
@@ -313,7 +289,6 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
     s->center_up_port_ = std::move(ctr_up);
     s->center_tree_tab_ = std::move(ctr_tab);
   }
-  lap("center trees");
 
   // --- per-node ball double trees: harvest clean roots, rebuild dirty ------
   // Same chunked fan-out + serial in-v-order scatter as the constructor, so
@@ -402,7 +377,6 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
     };
   });
   s->adopt_tables(std::move(tables));
-  lap("ball trees");
   return s;
 }
 

@@ -1,10 +1,7 @@
 #include "rtz/rtz3_scheme.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -27,16 +24,6 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
   const NodeId n = g.node_count();
   const int workers = resolve_apsp_threads(options.threads);
   const Digraph reversed = g.reversed();
-
-  const bool phase_debug = std::getenv("RTR_RTZ_PHASE_DEBUG") != nullptr;
-  auto t0 = std::chrono::steady_clock::now();
-  auto lap = [&](const char* what) {
-    if (!phase_debug) return;
-    auto t1 = std::chrono::steady_clock::now();
-    std::fprintf(stderr, "[rtz3 build] %-18s %8.1f ms\n", what,
-                 std::chrono::duration<double, std::milli>(t1 - t0).count());
-    t0 = t1;
-  };
 
   // --- center selection with size verification -----------------------------
   const double nn = static_cast<double>(std::max<NodeId>(n, 2));
@@ -67,7 +54,6 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
       if (attempt >= options.max_resample) break;  // accept; stats will show it
     }
   }
-  lap("ball system");
   center_count_ = static_cast<std::int64_t>(balls_.centers.size());
   const auto cc = static_cast<std::size_t>(center_count_);
 
@@ -107,7 +93,6 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
   });
   center_up_port_ = std::move(ctr_up);
   center_tree_tab_ = std::move(ctr_tab);
-  lap("center trees");
 
   // --- per-node ball double trees ------------------------------------------
   // A ball tree rooted at v scatters one entry into every member w's
@@ -173,7 +158,6 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
     };
   });
   adopt_tables(std::move(tables));
-  lap("ball trees");
 }
 
 void Rtz3Scheme::adopt_tables(std::vector<NodeTables>&& tables) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,28 +17,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 ChurnRunResult run_churn_workload(Digraph initial, NameAssignment names,
                                   const ChurnRunOptions& options) {
@@ -70,7 +47,7 @@ ChurnRunResult run_churn_workload(Digraph initial, NameAssignment names,
   ChurnRunResult result;
   const std::int64_t stretch_pairs = std::min<std::int64_t>(
       options.stretch_pairs, static_cast<std::int64_t>(n) * (n - 1));
-  std::string epoch_rows;
+  JsonArray epoch_rows;
   // Per-epoch stretch continuity: a deterministic sampled batch against each
   // epoch as it becomes current.
   auto append_epoch_row = [&](const Epoch& epoch, double rebuild_seconds,
@@ -88,17 +65,17 @@ ChurnRunResult run_churn_workload(Digraph initial, NameAssignment names,
       result.p99_stretch = rep.p99_stretch;
       result.max_stretch = rep.max_stretch;
     }
-    if (!epoch_rows.empty()) epoch_rows += ',';
-    epoch_rows += "{\"epoch\":" + std::to_string(epoch.seq) +
-                  ",\"pairs\":" + std::to_string(rep.pairs) +
-                  ",\"failures\":" + std::to_string(rep.failures) +
-                  ",\"mean_stretch\":" + std::to_string(rep.mean_stretch) +
-                  ",\"p99_stretch\":" + std::to_string(rep.p99_stretch) +
-                  ",\"max_stretch\":" + std::to_string(rep.max_stretch) +
-                  ",\"rebuild_seconds\":" + std::to_string(rebuild_seconds) +
-                  ",\"served_during_rebuild\":" +
-                  std::to_string(served_during) + ",\"from_cache\":" +
-                  (epoch.loaded_from_cache ? "true" : "false") + "}";
+    Json row{JsonObject{}};
+    row.set("epoch", static_cast<std::int64_t>(epoch.seq));
+    row.set("pairs", rep.pairs);
+    row.set("failures", rep.failures);
+    row.set("mean_stretch", rep.mean_stretch);
+    row.set("p99_stretch", rep.p99_stretch);
+    row.set("max_stretch", rep.max_stretch);
+    row.set("rebuild_seconds", rebuild_seconds);
+    row.set("served_during_rebuild", static_cast<std::int64_t>(served_during));
+    row.set("from_cache", epoch.loaded_from_cache);
+    epoch_rows.push_back(std::move(row));
   };
   append_epoch_row(*mgr.current(), mgr.current()->build_seconds, 0);
 
@@ -136,23 +113,24 @@ ChurnRunResult run_churn_workload(Digraph initial, NameAssignment names,
       c.queries > 0
           ? 1.0 - static_cast<double>(c.failures) / static_cast<double>(c.queries)
           : 1.0;
-  result.json =
-      "{\"scheme\":\"" + options.scheme + "\"," + options.extra_json_fields +
-      "\"n\":" + std::to_string(n) +
-      ",\"epochs\":" + std::to_string(result.epochs_completed) +
-      ",\"query_threads\":" + std::to_string(workers) +
-      ",\"queries\":" + std::to_string(result.queries) +
-      ",\"failures\":" + std::to_string(result.failures) +
-      ",\"served_during_rebuilds\":" +
-      std::to_string(result.served_during_rebuilds) +
-      ",\"availability\":" + std::to_string(result.availability) +
-      ",\"stretch_batch_failures\":" + std::to_string(result.stretch_failures) +
-      ",\"repairs\":" + std::to_string(result.repairs) +
-      ",\"repair_fallbacks\":" + std::to_string(result.repair_fallbacks) +
-      ",\"last_rebuild_ms\":" + std::to_string(result.last_rebuild_ms) +
-      ",\"last_repair_ms\":" + std::to_string(result.last_repair_ms) +
-      ",\"last_error\":\"" + json_escape(result.last_error) +
-      "\",\"per_epoch\":[" + epoch_rows + "]}";
+  Json& json = result.json;
+  json.set("scheme", options.scheme);
+  json.set("n", static_cast<std::int64_t>(n));
+  json.set("epochs", static_cast<std::int64_t>(result.epochs_completed));
+  json.set("query_threads", workers);
+  json.set("queries", static_cast<std::int64_t>(result.queries));
+  json.set("failures", static_cast<std::int64_t>(result.failures));
+  json.set("served_during_rebuilds",
+           static_cast<std::int64_t>(result.served_during_rebuilds));
+  json.set("availability", result.availability);
+  json.set("stretch_batch_failures", result.stretch_failures);
+  json.set("repairs", static_cast<std::int64_t>(result.repairs));
+  json.set("repair_fallbacks",
+           static_cast<std::int64_t>(result.repair_fallbacks));
+  json.set("last_rebuild_ms", result.last_rebuild_ms);
+  json.set("last_repair_ms", result.last_repair_ms);
+  json.set("last_error", result.last_error);
+  json.set("per_epoch", std::move(epoch_rows));
   return result;
 }
 

@@ -17,11 +17,9 @@
 #include "graph/churn.h"
 #include "graph/digraph.h"
 #include "serve/epoch_manager.h"
+#include "util/json.h"
 
 namespace rtr {
-
-/// Minimal JSON string escaping for messages embedded in report rows.
-[[nodiscard]] std::string json_escape(const std::string& s);
 
 struct ChurnRunOptions {
   std::string scheme = "stretch6";
@@ -32,13 +30,10 @@ struct ChurnRunOptions {
   std::int64_t stretch_pairs = 2000;
   ChurnOptions churn;                  ///< per-step topology mutation
   EpochManagerOptions manager;         ///< cache_dir, engine threads, ...
-  /// Extra JSON fields spliced verbatim after "scheme" (e.g.
-  /// "\"family\":\"random\","); must end with a comma when non-empty.
-  std::string extra_json_fields;
 };
 
 struct ChurnRunResult {
-  std::string json;          ///< the one-line report row
+  Json json;                 ///< the report row (front ends may add keys)
   std::uint64_t queries = 0;
   std::uint64_t failures = 0;           ///< hammer roundtrips not delivered
   std::int64_t stretch_failures = 0;    ///< failures across the epoch batches

@@ -121,7 +121,6 @@ std::shared_ptr<const Epoch> EpochManager::build_epoch(
 
   QueryEngineOptions qopts;
   qopts.threads = options_.query_threads;
-  qopts.sim = options_.sim;
   auto engine = std::make_shared<const QueryEngine>(
       handle->graph_ptr(), metric, names_, handle->scheme_ptr(), qopts);
   return std::make_shared<const Epoch>(seq, std::move(*handle),
@@ -179,7 +178,6 @@ std::shared_ptr<const Epoch> EpochManager::repair_epoch(
   SchemeHandle handle(graph, names_, scheme);
   QueryEngineOptions qopts;
   qopts.threads = options_.query_threads;
-  qopts.sim = options_.sim;
   auto engine = std::make_shared<const QueryEngine>(graph, metric, names_,
                                                     scheme, qopts);
   return std::make_shared<const Epoch>(seq, std::move(handle),

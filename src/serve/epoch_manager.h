@@ -83,7 +83,6 @@ struct EpochManagerOptions {
   /// the center draw is reproducible across epochs (the precondition for
   /// the incremental repair splice).
   std::uint64_t scheme_seed = 1;
-  SimOptions sim;
   /// Metric backend per epoch: kAuto switches from the dense APSP matrix to
   /// bounded-Dijkstra sparse rows past kDenseMetricAutoThreshold nodes.
   MetricMode metric_mode = MetricMode::kAuto;

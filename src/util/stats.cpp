@@ -14,13 +14,6 @@ void Summary::add(double x) {
   sum_ += x;
 }
 
-void Summary::merge(const Summary& other) {
-  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  sorted_ = false;
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 double Summary::mean() const {
   if (count_ == 0) throw std::logic_error("Summary::mean on empty sample");
   return sum_ / static_cast<double>(count_);

@@ -17,14 +17,10 @@ class Summary {
   /// Pre-sizes the sample buffer (batch loops know their size up front).
   void reserve(std::size_t n) { values_.reserve(n); }
 
-  /// Folds another sample in (used to combine per-worker summaries).
-  void merge(const Summary& other);
-
   [[nodiscard]] std::int64_t count() const { return count_; }
   [[nodiscard]] double mean() const;
   /// Mean over the *sorted* sample: equal multisets give bit-identical
-  /// results regardless of insertion/merge order (QueryEngine relies on this
-  /// for worker-count-independent aggregates).
+  /// results regardless of insertion order.
   [[nodiscard]] double stable_mean() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] double min() const;

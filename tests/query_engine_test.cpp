@@ -1,13 +1,15 @@
-// QueryEngine behavior: batch aggregation must be exact and independent of
-// the worker count; sampling must be deterministic per (seed, thread count);
-// the walk's header-size hints must never hide a size change; scheme bugs
-// must surface as counted failures, not crashed workers; and the pool must
-// actually scale when the hardware has cores to offer.
+// QueryEngine behavior: a batch report must be the fold of serve() over the
+// batch, exact and independent of the worker count; sampling must be
+// deterministic per (seed, thread count); the walk's header-size hints must
+// never hide a size change; scheme bugs must surface as counted failures,
+// not crashed workers; and the pool must actually scale when the hardware
+// has cores to offer.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -80,8 +82,8 @@ TEST(QueryEngine, BatchAggregateIndependentOfWorkerCount) {
   }
 }
 
-// run_batch's SoA prepass and sharded workers must report exactly what a
-// plain serial loop of single roundtrips measures.
+// run_batch over the worker pool must report exactly what a plain serial
+// loop of single serve() calls measures.
 TEST(QueryEngine, BatchMatchesTheSerialReferenceLoop) {
   Instance inst = make_instance(Family::kGrid, 36, 4, 52);
   const auto ctx = inst.context(10);
@@ -90,8 +92,9 @@ TEST(QueryEngine, BatchMatchesTheSerialReferenceLoop) {
   Summary stretch;
   std::int64_t max_header_bits = 0;
   for (const RoundtripQuery& q : queries) {
-    const RouteResult res = engine.roundtrip(q.src, q.dst);
-    ASSERT_TRUE(res.ok()) << q.src << "->" << q.dst;
+    const ServingResult served = engine.serve(q.src, q.dst);
+    ASSERT_TRUE(served.ok()) << q.src << "->" << q.dst;
+    const RouteResult& res = served.route;
     max_header_bits = std::max(max_header_bits, res.max_header_bits);
     stretch.add(static_cast<double>(res.roundtrip_length()) /
                 static_cast<double>(inst.metric->r(q.src, q.dst)));
@@ -104,6 +107,76 @@ TEST(QueryEngine, BatchMatchesTheSerialReferenceLoop) {
   EXPECT_DOUBLE_EQ(report.max_stretch, stretch.max());
   EXPECT_EQ(report.max_header_bits, max_header_bits);
 }
+
+/// The StretchReport contract spelled out by hand: a fold of serve() over
+/// the batch, in batch order.
+StretchReport fold_of_serve(const QueryEngine& engine,
+                            const RoundtripMetric& metric,
+                            const std::vector<RoundtripQuery>& queries) {
+  StretchReport report;
+  Summary stretch;
+  for (const RoundtripQuery& q : queries) {
+    ++report.pairs;
+    const ServingResult served = engine.serve(q.src, q.dst);
+    if (!served.ok()) {
+      ++report.failures;
+      if (served.error == ServingError::kInvalidQuery) ++report.invalid;
+      if (report.first_error.empty()) report.first_error = served.message;
+      continue;
+    }
+    report.max_header_bits =
+        std::max(report.max_header_bits, served.route.max_header_bits);
+    const Dist r = metric.r(q.src, q.dst);
+    if (r > 0) {
+      stretch.add(static_cast<double>(served.route.roundtrip_length()) /
+                  static_cast<double>(r));
+    }
+  }
+  if (stretch.count() > 0) {
+    report.mean_stretch = stretch.stable_mean();
+    report.p99_stretch = stretch.percentile(0.99);
+    report.max_stretch = stretch.max();
+  }
+  return report;
+}
+
+class RunBatchFold : public ::testing::TestWithParam<std::string> {};
+
+// For every registered scheme and worker count, run_batch over a batch
+// mixing valid pairs, a self pair and an out-of-range id equals the hand
+// fold of serve() on every StretchReport field.
+TEST_P(RunBatchFold, EqualsAHandFoldOfServe) {
+  Instance inst = make_instance(Family::kRandom, 40, 4, 60);
+  const auto ctx = inst.context(18);
+  const NodeId n = inst.n();
+  std::vector<RoundtripQuery> queries =
+      QueryEngine::sample_pairs(n, 300, 19);
+  queries.insert(queries.begin() + 7, {5, 5});
+  queries.insert(queries.begin() + 150, {2, n});
+  auto scheme = SchemeRegistry::global().build(GetParam(), ctx);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    QueryEngineOptions opts;
+    opts.threads = threads;
+    QueryEngine engine(ctx.graph, ctx.metric, ctx.names, scheme, opts);
+    const StretchReport want = fold_of_serve(engine, *ctx.metric, queries);
+    EXPECT_EQ(want.invalid, 2);
+    EXPECT_NE(want.first_error.find("src == dst"), std::string::npos)
+        << want.first_error;
+    expect_same_report(want, engine.run_batch(queries));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, RunBatchFold,
+    ::testing::ValuesIn(SchemeRegistry::global().names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (auto& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 /// Test-only decorator: forwards exactly like the wrapped concrete scheme but
 /// reports a header resize on every step, so the walk re-measures
@@ -300,17 +373,24 @@ TEST(QueryEngine, RoundtripThrowsOnOutOfRangeIds) {
   Instance inst = make_instance(Family::kRandom, 16, 3, 59);
   const auto ctx = inst.context(17);
   QueryEngine engine = make_engine(ctx, "stretch6", 1);
-  EXPECT_THROW((void)engine.roundtrip(-1, 2), std::out_of_range);
-  EXPECT_THROW((void)engine.roundtrip(0, inst.n()), std::out_of_range);
+  // serve() never throws: out-of-range ids come back as typed failures.
+  for (const auto& [src, dst] :
+       {std::pair<NodeId, NodeId>{-1, 2}, {0, inst.n()}}) {
+    const ServingResult served = engine.serve(src, dst);
+    EXPECT_EQ(served.error, ServingError::kInvalidQuery);
+    EXPECT_NE(served.message.find("node id out of range"), std::string::npos)
+        << served.message;
+  }
 }
 
 TEST(QueryEngine, RoundtripRunsOneQueryOnTheCallerThread) {
   Instance inst = make_instance(Family::kRandom, 24, 4, 55);
   const auto ctx = inst.context(13);
   QueryEngine engine = make_engine(ctx, "stretch6", 4);
-  auto res = engine.roundtrip(1, 7);
-  EXPECT_TRUE(res.ok());
-  EXPECT_LE(static_cast<double>(res.roundtrip_length()),
+  const ServingResult served = engine.serve(1, 7);
+  ASSERT_TRUE(served.ok()) << served.message;
+  EXPECT_EQ(served.epoch, 0u);
+  EXPECT_LE(static_cast<double>(served.route.roundtrip_length()),
             6.0 * static_cast<double>(inst.metric->r(1, 7)) + 1e-9);
 }
 

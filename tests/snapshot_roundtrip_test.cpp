@@ -197,7 +197,8 @@ TEST(SnapshotInspect, ReportsHeaderAndSections) {
   const std::string path = temp_path("inspect");
   save_snapshot(path, "rtz3", built);
 
-  SnapshotInfo info = inspect_snapshot(path);
+  const SnapshotFileStatus info = probe_snapshot(path);
+  EXPECT_TRUE(info.all_ok()) << info.framing_error;
   EXPECT_EQ(info.version, kSnapshotVersion);
   EXPECT_EQ(info.scheme, "rtz3");
   EXPECT_EQ(info.node_count, inst->n());
@@ -240,7 +241,7 @@ TEST(BuildOrLoad, CacheMissBuildsAndSavesCacheHitSkipsConstruction) {
   SchemeHandle first =
       SchemeRegistry::global().build_or_load("stretch6", make_ctx, path);
   EXPECT_EQ(ctx_builds, 1);
-  EXPECT_EQ(inspect_snapshot(path).scheme, "stretch6");
+  EXPECT_EQ(probe_snapshot(path).scheme, "stretch6");
 
   // Hit: construction is skipped entirely -- make_ctx is never called.
   SchemeHandle second =
@@ -308,7 +309,7 @@ TEST(BuildOrLoad, MappedModeHitsV2CachesAndFallsBackForV1) {
         SchemeRegistry::global().build_or_load("stretch6", make_ctx, path, mode);
     EXPECT_EQ(ctx_builds, before + 1) << "a v1 cache file must be a miss";
     EXPECT_EQ(third.graph().node_count(), inst->n());
-    EXPECT_EQ(inspect_snapshot(path).version, kSnapshotVersion);
+    EXPECT_EQ(probe_snapshot(path).version, kSnapshotVersion);
   }
   std::remove(path.c_str());
 }
@@ -321,13 +322,13 @@ TEST(BuildOrLoad, MismatchedCachedSchemeIsRebuiltAndOverwritten) {
   // Seed the cache file with a *different* scheme.
   (void)SchemeRegistry::global().build_or_load(
       "rtz3", [&] { return inst->context(13); }, path);
-  ASSERT_EQ(inspect_snapshot(path).scheme, "rtz3");
+  ASSERT_EQ(probe_snapshot(path).scheme, "rtz3");
 
   // Asking for fulltable at the same path must rebuild, not serve rtz3.
   SchemeHandle handle = SchemeRegistry::global().build_or_load(
       "fulltable", [&] { return inst->context(13); }, path);
   EXPECT_EQ(handle.name(), "full-table(stretch1)");
-  EXPECT_EQ(inspect_snapshot(path).scheme, "fulltable");
+  EXPECT_EQ(probe_snapshot(path).scheme, "fulltable");
   std::remove(path.c_str());
 }
 

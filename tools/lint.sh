@@ -43,6 +43,14 @@ rand_use=$(grep -rnE '(std::rand|[^_[:alnum:]]s?rand)\(' \
   --include='*.cpp' --include='*.h' 2>/dev/null)
 report "std::rand/rand(); use util/rng.h (deterministic, seeded)" "$rand_use"
 
+# --- rule: no getenv in the library ----------------------------------------
+# Library behaviour is set through options and BuildContext, never through
+# environment variables read deep inside a build; front ends under tools/
+# and bench/ may read the environment and pass what they find down.
+getenv_use=$(grep -rnE 'getenv' src --include='*.cpp' --include='*.h' \
+  2>/dev/null)
+report "getenv under src/ (pass an option instead)" "$getenv_use"
+
 # --- rule: no naked memcpy into snapshot payloads --------------------------
 # Snapshot bytes must go through SnapshotWriter/SnapshotReader so the
 # little-endian framing and bounds checks hold on every platform.  The single

@@ -12,7 +12,7 @@
 //       Print per-node table statistics for the scheme.
 //   rtr_cli bench <scheme> <family> <n> [pairs] [threads] [seed]
 //       Generate an instance, run a sampled batch through the QueryEngine,
-//       and emit a one-line JSON report.
+//       and emit a JSON report.
 //   rtr_cli snapshot save <scheme> <path> <family> <n> [seed]
 //       Build the scheme over a generated instance and freeze it (graph,
 //       names, tables) into a binary snapshot arena at <path>.
@@ -38,11 +38,11 @@
 //   rtr_cli snapshot bench <scheme> <family> <n> [pairs] [seed]
 //       Measure build-vs-load: construct the scheme (timed), save it, load
 //       it back (timed), check the loaded handle answers a sampled batch
-//       identically, and emit a one-line JSON report with the speedup.
+//       identically, and emit a JSON report with the speedup.
 //   rtr_cli churn <scheme> <family> <n> [epochs] [threads] [seed]
 //       Live-churn serving: build an EpochManager, then churn the topology
 //       through `epochs` background rebuilds while query threads hammer
-//       name-keyed roundtrips nonstop.  Emits a one-line JSON report with
+//       name-keyed roundtrips nonstop.  Emits a JSON report with
 //       availability (queries served during rebuilds, failures) and
 //       per-epoch stretch continuity.
 //
@@ -68,6 +68,7 @@
 #include "net/scheme.h"
 #include "rt/metric.h"
 #include "serve/churn_harness.h"
+#include "util/json.h"
 
 namespace {
 
@@ -170,17 +171,21 @@ int run_bench(const std::string& scheme_name, const std::string& family,
   batch.pair_budget = pairs;
   batch.seed = seed + 1;
   StretchReport rep = engine.run_sampled(batch);
-  std::cout << "{\"scheme\":\"" << scheme_name << "\",\"family\":\"" << family
-            << "\",\"n\":" << ctx.graph->node_count() << ",\"pairs\":"
-            << rep.pairs << ",\"failures\":" << rep.failures
-            << ",\"invalid\":" << rep.invalid << ",\"first_error\":\""
-            << json_escape(rep.first_error) << "\""
-            << ",\"mean_stretch\":" << rep.mean_stretch
-            << ",\"p99_stretch\":" << rep.p99_stretch
-            << ",\"max_stretch\":" << rep.max_stretch
-            << ",\"max_header_bits\":" << rep.max_header_bits
-            << ",\"threads\":" << engine.worker_count()
-            << ",\"wall_seconds\":" << rep.wall_seconds << "}\n";
+  Json json{JsonObject{}};
+  json.set("scheme", scheme_name);
+  json.set("family", family);
+  json.set("n", static_cast<std::int64_t>(ctx.graph->node_count()));
+  json.set("pairs", rep.pairs);
+  json.set("failures", rep.failures);
+  json.set("invalid", rep.invalid);
+  json.set("first_error", rep.first_error);
+  json.set("mean_stretch", rep.mean_stretch);
+  json.set("p99_stretch", rep.p99_stretch);
+  json.set("max_stretch", rep.max_stretch);
+  json.set("max_header_bits", rep.max_header_bits);
+  json.set("threads", engine.worker_count());
+  json.set("wall_seconds", rep.wall_seconds);
+  std::cout << json.dump() << "\n";
   return rep.failures == 0 ? 0 : 1;
 }
 
@@ -189,21 +194,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-void print_snapshot_info(const SnapshotInfo& info) {
-  std::cout << "scheme:   " << info.scheme << "\n"
-            << "version:  " << info.version << "\n"
-            << "nodes:    " << info.node_count << "\n"
-            << "edges:    " << info.edge_count << "\n"
-            << "bytes:    " << info.file_bytes << "\n"
-            << "sections:\n";
-  for (const auto& s : info.sections) {
-    std::printf("  %-8s %12llu bytes  crc32 %08x\n", s.name.c_str(),
-                static_cast<unsigned long long>(s.bytes), s.crc);
-  }
-}
-
-/// Probe-based `snapshot info`: prints the header and every section with its
-/// CRC health; returns non-zero when the file is damaged anywhere.
+/// The one snapshot header printer (`snapshot info`, `save`, `load`): probes
+/// the file and prints the header and every section with its CRC health;
+/// returns non-zero when the file is damaged anywhere.
 int run_snapshot_info(const std::string& path) {
   const SnapshotFileStatus status = probe_snapshot(path);
   if (!status.framing_error.empty() && status.scheme.empty()) {
@@ -282,15 +275,14 @@ int run_snapshot_save(const std::string& scheme_name, const std::string& path,
   SchemeHandle handle(ctx.graph, ctx.names,
                       SchemeRegistry::global().build(scheme_name, ctx));
   save_snapshot(path, scheme_name, handle);
-  print_snapshot_info(inspect_snapshot(path));
-  return 0;
+  return run_snapshot_info(path);
 }
 
 int run_snapshot_load(const std::string& path, NodeId src, NodeId dst) {
   const auto start = std::chrono::steady_clock::now();
   SchemeHandle handle = load_snapshot(path);
   const double load_seconds = seconds_since(start);
-  print_snapshot_info(inspect_snapshot(path));
+  run_snapshot_info(path);  // load_snapshot already verified every CRC
   std::cout << "loaded:   " << handle.name() << " in " << load_seconds
             << " s\n";
   if (src == kNoNode) return 0;
@@ -353,20 +345,23 @@ int run_snapshot_bench(const std::string& scheme_name,
     }
   }
 
-  const SnapshotInfo info = inspect_snapshot(path);
   const double speedup =
       load_seconds > 0 ? build_seconds / load_seconds : build_seconds / 1e-9;
-  std::cout << "{\"scheme\":\"" << scheme_name << "\",\"family\":\"" << family
-            << "\",\"n\":" << built.graph().node_count()
-            << ",\"build_seconds\":" << build_seconds
-            << ",\"save_seconds\":" << save_seconds
-            << ",\"load_seconds\":" << load_seconds
-            << ",\"speedup\":" << speedup
-            << ",\"file_bytes\":" << info.file_bytes << ",\"pairs\":" << pairs
-            << ",\"failures\":" << failures
-            << ",\"mismatches\":" << mismatches
-            << ",\"answers_match\":" << (mismatches == 0 ? "true" : "false")
-            << "}\n";
+  Json json{JsonObject{}};
+  json.set("scheme", scheme_name);
+  json.set("family", family);
+  json.set("n", static_cast<std::int64_t>(built.graph().node_count()));
+  json.set("build_seconds", build_seconds);
+  json.set("save_seconds", save_seconds);
+  json.set("load_seconds", load_seconds);
+  json.set("speedup", speedup);
+  json.set("file_bytes",
+           static_cast<std::int64_t>(probe_snapshot(path).file_bytes));
+  json.set("pairs", pairs);
+  json.set("failures", failures);
+  json.set("mismatches", mismatches);
+  json.set("answers_match", mismatches == 0);
+  std::cout << json.dump() << "\n";
   std::remove(path.c_str());
   return mismatches == 0 && failures == 0 ? 0 : 1;
 }
@@ -386,13 +381,13 @@ int run_churn(const std::string& scheme_name, const std::string& family,
   opts.hammer_threads = hammer_threads;
   opts.seed = seed;
   opts.churn.rehome_nodes = std::max<NodeId>(1, g.node_count() / 50);
-  opts.extra_json_fields = "\"family\":\"" + family + "\",";
   ChurnRunResult result =
       run_churn_workload(std::move(g), std::move(names), opts);
   if (!result.last_error.empty()) {
     std::cerr << "churn: " << result.last_error << "\n";
   }
-  std::cout << result.json << "\n";
+  result.json.set("family", family);
+  std::cout << result.json.dump() << "\n";
   return result.ok(epochs) ? 0 : 1;
 }
 
