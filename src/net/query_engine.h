@@ -9,10 +9,10 @@
 //   * serve(src, dst)            -- the one query routine: typed
 //                                   ServingResult, never throws.
 //   * serve_batch(queries, opts) -- the one parallel loop: serve() over a
-//                                   batch, statically sharded across a
-//                                   std::thread pool; results[i] answers
-//                                   queries[i] (the rtr_routed
-//                                   request-coalescing path).
+//                                   batch through util/parallel.h's
+//                                   parallel_tickets; results[i] answers
+//                                   queries[i] (what each rtr_routed event
+//                                   loop calls once per wake-up).
 //   * run_batch(queries, opts)   -- the one fold: serve_batch's results,
 //                                   folded serially in batch order into a
 //                                   StretchReport.  The report is identical
@@ -70,8 +70,8 @@ struct QueryEngineOptions {
   int threads = 0;
 };
 
-/// The one knob bag every batch entry point shares (and the server's
-/// coalescing path reuses).  Replaces the former loose (budget, seed)
+/// The one knob bag every batch entry point shares (and the server's event
+/// loops reuse).  Replaces the former loose (budget, seed)
 /// parameter overloads.
 struct BatchOptions {
   /// Pairs run_sampled draws; ignored by run_batch/serve_batch (the caller's
@@ -122,10 +122,10 @@ class QueryEngine {
   /// `epoch` is left 0 -- the serving layer that pinned an epoch fills it in.
   [[nodiscard]] ServingResult serve(NodeId src, NodeId dst) const;
 
-  /// serve() over a batch, sharded across the worker pool (contiguous
-  /// slices into a preallocated result vector; disjoint writes, no locks).
-  /// results[i] always answers queries[i].  This is the server's
-  /// request-coalescing path.
+  /// serve() over a batch via parallel_tickets: each ticket writes only
+  /// results[i], which always answers queries[i], so the results are the
+  /// same bytes at any width.  The server's event loops answer every turn
+  /// through this call.
   [[nodiscard]] std::vector<ServingResult> serve_batch(
       const std::vector<RoundtripQuery>& queries,
       const BatchOptions& options = {}) const;

@@ -3,20 +3,62 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
 #include "server/wire.h"
 
 namespace rtr {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Bytes read from one session per loop turn; bounds one turn's batch.
+constexpr std::size_t kReadChunk = 16 * 1024;
+/// Backpressure: a session whose unsent output exceeds this is not read
+/// again until the peer drains it.
+constexpr std::size_t kMaxUnsentBytes = 256 * 1024;
+/// Connections past max_connections are held only until they can be refused
+/// in their own protocol; past this many more, one is closed on accept.
+constexpr std::int64_t kRefusalSlots = 64;
+constexpr int kMaxEvents = 64;
+
+/// The RouteServerStats counters with their /stats keys, in /stats order.
+constexpr std::pair<const char*, std::uint64_t RouteServerStats::*>
+    kCounters[] = {
+        {"connections", &RouteServerStats::connections},
+        {"http_requests", &RouteServerStats::http_requests},
+        {"wire_requests", &RouteServerStats::wire_requests},
+        {"queries_ok", &RouteServerStats::queries_ok},
+        {"batches", &RouteServerStats::batches},
+        {"batched_queries", &RouteServerStats::batched_queries},
+        {"max_batch", &RouteServerStats::max_batch},
+        {"protocol_errors", &RouteServerStats::protocol_errors},
+        {"refused_connections", &RouteServerStats::refused_connections},
+        {"idle_closed", &RouteServerStats::idle_closed},
+        {"accept_errors", &RouteServerStats::accept_errors},
+};
+
+void bump(std::uint64_t& counter, std::uint64_t n = 1) {
+  std::atomic_ref<std::uint64_t>(counter).fetch_add(n,
+                                                    std::memory_order_relaxed);
+}
+
+void count_result(RouteServerStats& counters, const ServingResult& result) {
+  const auto code = static_cast<std::size_t>(result.error);
+  bump(result.ok() ? counters.queries_ok : counters.errors[code < 6 ? code : 0]);
+}
 
 /// Full-consumption integer parse for query parameters; rejects "", "12x",
 /// and values outside NodeName's 32-bit range.
@@ -31,26 +73,19 @@ namespace {
   return true;
 }
 
-void set_recv_timeout(int fd, int millis) {
-  timeval tv{};
-  tv.tv_sec = millis / 1000;
-  tv.tv_usec = static_cast<suseconds_t>((millis % 1000) * 1000);
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+/// {"error": token}, the body of every HTTP answer that is not a route.
+[[nodiscard]] std::string error_body(const char* token) {
+  Json body{JsonObject{}};
+  body.set("error", token);
+  return body.dump();
 }
 
-/// Blocking send of the whole buffer; false on a broken connection.
-[[nodiscard]] bool send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
+/// Adds `fd` to (or, with EPOLL_CTL_MOD, re-arms it in) an epoll set.
+[[nodiscard]] bool watch(int epoll_fd, int op, int fd, std::uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
 }
 
 }  // namespace
@@ -92,13 +127,399 @@ Json route_response_json(NodeName src, NodeName dst,
   return body;
 }
 
+/// An epoll set over the shared listening socket, the stop eventfd and the
+/// sessions this loop accepted.  Only the loop's own thread touches it once
+/// the server is constructed.
+class RouteServer::Loop {
+ public:
+  /// Takes ownership of `epoll_fd`.
+  Loop(RouteServer& server, int epoll_fd)
+      : server_(server), counters_(server.counters_), epoll_fd_(epoll_fd) {}
+  ~Loop() {
+    for (const auto& entry : sessions_) release(entry.first);
+    ::close(epoll_fd_);
+  }
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  /// One turn per wake-up: read and parse every ready session, answer the
+  /// turn's queries from one pinned epoch, write each session's answers.
+  /// Returns when the stop eventfd fires.
+  void run() {
+    epoll_event events[kMaxEvents];
+    while (true) {
+      const int ready =
+          ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms());
+      if (ready < 0 && errno != EINTR) return;
+      now_ = Clock::now();
+      for (int i = 0; i < ready; ++i) {
+        const int fd = events[i].data.fd;
+        if (fd == server_.stop_fd_) return;
+        if (fd == server_.listen_fd_) {
+          accept_all();
+          continue;
+        }
+        const auto it = sessions_.find(fd);
+        if (it == sessions_.end()) continue;
+        touched_.push_back(&it->second);  // flushed below, whatever woke it
+        if ((events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
+          read(it->second);
+        }
+      }
+      answer_turn();
+      for (Session* s : touched_) flush(*s);
+      touched_.clear();
+      queries_.clear();
+      answers_.clear();
+      if (now_ >= next_expiry_) expire();
+    }
+  }
+
+ private:
+  enum class Protocol { kUnknown, kHttp, kWire };
+
+  struct Session {
+    int fd = -1;
+    Protocol protocol = Protocol::kUnknown;
+    std::string in;   ///< bytes read but not yet parsed
+    std::string out;  ///< encoded answers; out[sent..] is unsent
+    std::size_t sent = 0;
+    Clock::time_point deadline;
+    std::uint32_t watched = EPOLLIN;  ///< epoll events registered
+    bool refused = false;  ///< past max_connections: refuse, then close
+    bool closing = false;  ///< parse no more; close once `out` drains
+    bool dead = false;     ///< peer gone or socket error: close now
+  };
+
+  /// One answer owed this turn, in its session's request order: encoded
+  /// already (`bytes`), or the `query`th result of the turn's batch.
+  struct Answer {
+    Session* session = nullptr;
+    std::string bytes;
+    std::size_t query = kNoQuery;
+    NodeName src = 0;
+    NodeName dst = 0;
+    bool http = false;
+    bool keep_alive = true;
+
+    [[nodiscard]] std::string encode(const ServingResult& result) const {
+      if (!http) return encode_wire_response(result);
+      return make_http_response(http_status_for(result),
+                                route_response_json(src, dst, result).dump(),
+                                keep_alive);
+    }
+  };
+  static constexpr std::size_t kNoQuery = static_cast<std::size_t>(-1);
+
+  /// Drains the accept queue.  The listener is edge-triggered, so a failing
+  /// accept() (EMFILE and the like) is counted and retried at the next
+  /// connection instead of being spun on.
+  void accept_all() {
+    const RouteServerOptions& options = server_.options_;
+    while (true) {
+      const int fd = ::accept4(server_.listen_fd_, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0 && (errno == EINTR || errno == ECONNABORTED)) continue;
+      if (fd < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK) {
+          bump(counters_.accept_errors);
+        }
+        return;
+      }
+      bump(counters_.connections);
+      const std::int64_t open =
+          server_.open_sessions_.fetch_add(1, std::memory_order_relaxed);
+      const bool refused = open >= options.max_connections;
+      if (refused) bump(counters_.refused_connections);
+      const bool overflow = open >= options.max_connections + kRefusalSlots;
+      if (overflow || !watch(epoll_fd_, EPOLL_CTL_ADD, fd, EPOLLIN)) {
+        if (!overflow) bump(counters_.accept_errors);
+        release(fd);
+        continue;
+      }
+      const int one = 1;
+      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      Session& s = sessions_[fd];
+      s.fd = fd;
+      s.refused = refused;
+      s.deadline = deadline();
+      next_expiry_ = std::min(next_expiry_, s.deadline);
+    }
+  }
+
+  void read(Session& s) {
+    const ssize_t n = ::recv(s.fd, chunk_, sizeof(chunk_), 0);
+    if (n == 0) s.closing = true;  // requests before the FIN are answered
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      s.dead = true;
+    }
+    if (n <= 0) return;
+    s.in.append(chunk_, static_cast<std::size_t>(n));
+    while (!s.closing && parse_one(s)) {
+    }
+  }
+
+  /// Parses one request off the front of `s.in` and queues its answer;
+  /// false when no complete request is buffered or the session must close.
+  [[nodiscard]] bool parse_one(Session& s) {
+    if (s.protocol == Protocol::kUnknown) {
+      if (s.in.empty()) return false;
+      if (s.in[0] != kWirePreamble[0]) {
+        s.protocol = Protocol::kHttp;
+      } else {
+        if (s.in.size() < kWirePreambleBytes) return false;
+        if (s.in.compare(0, kWirePreambleBytes, kWirePreamble,
+                         kWirePreambleBytes) != 0) {
+          return protocol_error(s);
+        }
+        s.in.erase(0, kWirePreambleBytes);
+        s.protocol = Protocol::kWire;
+        // rtr-wire/1 has no refusal frame: a refused session is closed.
+        s.closing = s.refused;
+        return !s.closing;
+      }
+    }
+    if (s.protocol == Protocol::kWire) {
+      WireRequest request;
+      const WireParseStatus status = parse_wire_request(s.in, request);
+      if (status == WireParseStatus::kNeedMore) return false;
+      if (status == WireParseStatus::kMalformed) return protocol_error(s);
+      bump(counters_.wire_requests);
+      s.deadline = deadline();
+      submit(Answer{&s, {}, kNoQuery, request.src, request.dst});
+      return true;
+    }
+    HttpRequest request;
+    const HttpParseStatus status =
+        parse_http_request(s.in, request, server_.options_.http_limits);
+    if (status == HttpParseStatus::kNeedMore) return false;
+    if (status != HttpParseStatus::kOk) {
+      const int code = status == HttpParseStatus::kUriTooLong        ? 414
+                       : status == HttpParseStatus::kHeadersTooLarge ? 431
+                                                                     : 400;
+      reply(s, code, error_body("malformed_request"), false);
+      return protocol_error(s);
+    }
+    s.deadline = deadline();
+    if (s.refused) {
+      reply(s, 503, error_body("overloaded"), false);
+      s.closing = true;
+      return false;
+    }
+    handle_http(s, request);
+    s.closing = !request.keep_alive;
+    return !s.closing;
+  }
+
+  [[nodiscard]] bool protocol_error(Session& s) {
+    bump(counters_.protocol_errors);
+    s.closing = true;
+    return false;
+  }
+
+  void handle_http(Session& s, const HttpRequest& request) {
+    bump(counters_.http_requests);
+    const ServingSource& source = server_.source_;
+    const bool keep_alive = request.keep_alive;
+    if (request.method != "GET") {
+      reply(s, 405, error_body("method_not_allowed"), keep_alive);
+    } else if (request.path == "/healthz") {
+      const auto epoch = source.current_epoch();
+      Json body{JsonObject{}};
+      body.set("status", epoch != nullptr ? "ok" : "unavailable");
+      body.set("scheme", source.scheme_name());
+      body.set("nodes",
+               static_cast<std::int64_t>(source.names().node_count()));
+      if (epoch != nullptr) {
+        body.set("epoch", static_cast<std::int64_t>(epoch->seq));
+      }
+      reply(s, epoch != nullptr ? 200 : 503, body.dump(), keep_alive);
+    } else if (request.path == "/stats") {
+      reply(s, 200, server_.stats_json().dump(), keep_alive);
+    } else if (request.path == "/route") {
+      const std::string* src_raw = find_query_param(request, "src");
+      const std::string* dst_raw = find_query_param(request, "dst");
+      // An explicit scheme selector must match what this process serves --
+      // epochs of a different scheme live in a different rtr_routed.
+      const std::string* scheme = find_query_param(request, "scheme");
+      Answer a{&s, {}, kNoQuery, 0, 0, /*http=*/true, keep_alive};
+      if (src_raw == nullptr || dst_raw == nullptr ||
+          !parse_name(*src_raw, a.src) || !parse_name(*dst_raw, a.dst)) {
+        a.src = a.dst = 0;
+        answer(std::move(a), ServingResult::failure(
+                                 ServingError::kInvalidQuery,
+                                 "src and dst must be integer node names"));
+      } else if (scheme != nullptr && *scheme != source.scheme_name()) {
+        answer(std::move(a), ServingResult::failure(
+                                 ServingError::kEpochUnavailable,
+                                 "scheme " + *scheme + " not served (serving " +
+                                     source.scheme_name() + ")"));
+      } else {
+        submit(std::move(a));
+      }
+    } else {
+      reply(s, 404, error_body("not_found"), keep_alive);
+    }
+  }
+
+  /// Queues a route query for the turn's batch, or answers it now when a
+  /// name is unknown to the fixed naming (as EpochManager::roundtrip_by_name
+  /// does); the batch works in node ids.
+  void submit(Answer a) {
+    const NameAssignment& names = server_.source_.names();
+    const NodeName n = names.node_count();
+    if (a.src < 0 || a.src >= n || a.dst < 0 || a.dst >= n) {
+      const NodeName bad = (a.src < 0 || a.src >= n) ? a.src : a.dst;
+      answer(std::move(a),
+             ServingResult::failure(ServingError::kInvalidName,
+                                    "unknown name " + std::to_string(bad)));
+      return;
+    }
+    a.query = queries_.size();
+    queries_.push_back(RoundtripQuery{names.id_of(a.src), names.id_of(a.dst)});
+    answers_.push_back(std::move(a));
+  }
+
+  /// Queues `a` answered now with `result`.
+  void answer(Answer a, const ServingResult& result) {
+    count_result(counters_, result);
+    a.bytes = a.encode(result);
+    answers_.push_back(std::move(a));
+  }
+
+  void reply(Session& s, int status, const std::string& body,
+             bool keep_alive) {
+    answers_.push_back(
+        Answer{&s, make_http_response(status, body, keep_alive)});
+  }
+
+  void answer_turn() {
+    std::vector<ServingResult> results;
+    if (!queries_.empty()) {
+      // ONE epoch pin for the whole turn: every query in it is answered by
+      // the same (graph, scheme, names) triple even if an epoch swap lands
+      // mid-batch.
+      const auto epoch = server_.source_.current_epoch();
+      if (epoch == nullptr) {
+        results.assign(queries_.size(),
+                       ServingResult::failure(ServingError::kEpochUnavailable,
+                                              "no epoch available"));
+      } else {
+        BatchOptions batch_options;
+        batch_options.threads = server_.options_.batch_threads;
+        results = epoch->engine->serve_batch(queries_, batch_options);
+        for (ServingResult& r : results) r.epoch = epoch->seq;
+        const std::uint64_t size = queries_.size();
+        bump(counters_.batches);
+        bump(counters_.batched_queries, size);
+        std::atomic_ref<std::uint64_t> max_batch(counters_.max_batch);
+        std::uint64_t seen = max_batch.load(std::memory_order_relaxed);
+        while (size > seen && !max_batch.compare_exchange_weak(
+                                  seen, size, std::memory_order_relaxed)) {
+        }
+      }
+    }
+    for (const Answer& a : answers_) {
+      if (a.query == kNoQuery) {
+        a.session->out += a.bytes;
+      } else {
+        count_result(counters_, results[a.query]);
+        a.session->out += a.encode(results[a.query]);
+      }
+    }
+  }
+
+  /// One send of the session's unsent output; then close it, or re-arm its
+  /// epoll events: EPOLLOUT while output is pending, EPOLLIN unless closing
+  /// or over the unsent-output cap (backpressure).
+  void flush(Session& s) {
+    if (!s.dead && s.sent < s.out.size()) {
+      const ssize_t n = ::send(s.fd, s.out.data() + s.sent,
+                               s.out.size() - s.sent, MSG_NOSIGNAL);
+      if (n > 0) {
+        s.sent += static_cast<std::size_t>(n);
+        s.deadline = deadline();
+      } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        s.dead = true;
+      }
+      if (s.sent == s.out.size()) {
+        s.out.clear();
+        s.sent = 0;
+      }
+    }
+    const std::size_t unsent = s.out.size() - s.sent;
+    if (s.dead || (s.closing && unsent == 0)) return close(s);
+    const std::uint32_t want =
+        (s.closing || unsent > kMaxUnsentBytes ? 0u : std::uint32_t{EPOLLIN}) |
+        (unsent > 0 ? std::uint32_t{EPOLLOUT} : 0u);
+    if (want == s.watched) return;
+    if (!watch(epoll_fd_, EPOLL_CTL_MOD, s.fd, want)) return close(s);
+    s.watched = want;
+  }
+
+  /// Closes every session past its deadline (counted in idle_closed).
+  void expire() {
+    next_expiry_ = Clock::time_point::max();
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      if (it->second.deadline > now_) {
+        next_expiry_ = std::min(next_expiry_, it->second.deadline);
+        ++it;
+        continue;
+      }
+      bump(counters_.idle_closed);
+      release(it->first);
+      it = sessions_.erase(it);
+    }
+  }
+
+  [[nodiscard]] int timeout_ms() const {
+    if (next_expiry_ == Clock::time_point::max()) return -1;
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(next_expiry_ - now_);
+    return static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+  }
+
+  [[nodiscard]] Clock::time_point deadline() const {
+    const int idle = server_.options_.idle_timeout_ms;
+    return idle > 0 ? now_ + std::chrono::milliseconds(idle)
+                    : Clock::time_point::max();
+  }
+
+  void release(int fd) {
+    ::close(fd);  // also drops it from the epoll set
+    server_.open_sessions_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  void close(Session& s) {
+    const int fd = s.fd;
+    release(fd);
+    sessions_.erase(fd);
+  }
+
+  RouteServer& server_;
+  RouteServerStats& counters_;
+  const int epoll_fd_;
+  std::unordered_map<int, Session> sessions_;
+  Clock::time_point now_;
+  /// No session's deadline is earlier: sessions are scanned only once it
+  /// passes, since activity only ever moves a deadline later.
+  Clock::time_point next_expiry_ = Clock::time_point::max();
+  std::vector<Session*> touched_;
+  std::vector<RoundtripQuery> queries_;
+  std::vector<Answer> answers_;
+  char chunk_[kReadChunk];
+};
+
 RouteServer::RouteServer(const ServingSource& source,
                          RouteServerOptions options)
     : source_(source), options_(std::move(options)) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("RouteServer: socket() failed");
-  }
+  const auto fail = [this](const std::string& why) {
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    if (stop_fd_ >= 0) ::close(stop_fd_);
+    throw std::runtime_error("RouteServer: " + why);
+  };
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) fail("socket() failed");
   const int one = 1;
   (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -107,17 +528,13 @@ RouteServer::RouteServer(const ServingSource& source,
   addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
   if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
       1) {
-    ::close(listen_fd_);
-    throw std::runtime_error("RouteServer: bad bind address " +
-                             options_.bind_address);
+    fail("bad bind address " + options_.bind_address);
   }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
       ::listen(listen_fd_, 128) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("RouteServer: cannot bind " +
-                             options_.bind_address + ":" +
-                             std::to_string(options_.port));
+    fail("cannot bind " + options_.bind_address + ":" +
+         std::to_string(options_.port));
   }
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
@@ -125,340 +542,57 @@ RouteServer::RouteServer(const ServingSource& source,
                     &bound_len) == 0) {
     port_ = static_cast<int>(ntohs(bound.sin_port));
   }
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (stop_fd_ < 0) fail("eventfd() failed");
 
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
-  const int acceptors = std::max(options_.acceptor_threads, 1);
-  acceptors_.reserve(static_cast<std::size_t>(acceptors));
-  for (int i = 0; i < acceptors; ++i) {
-    acceptors_.emplace_back([this] { accept_loop(); });
+  // Every loop watches the stop eventfd and the listening socket: edge-
+  // triggered (see Loop::accept_all) and EPOLLEXCLUSIVE, so a connection
+  // wakes one loop, not all of them.
+  for (int i = 0; i < std::max(options_.acceptor_threads, 1); ++i) {
+    const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd < 0) fail("epoll_create1() failed");
+    loops_.push_back(std::make_unique<Loop>(*this, epoll_fd));
+    if (!watch(epoll_fd, EPOLL_CTL_ADD, stop_fd_, EPOLLIN) ||
+        !watch(epoll_fd, EPOLL_CTL_ADD, listen_fd_,
+               EPOLLIN | EPOLLET | EPOLLEXCLUSIVE)) {
+      fail("epoll_ctl() failed");
+    }
+  }
+  try {
+    for (auto& loop : loops_) {
+      threads_.emplace_back([l = loop.get()] { l->run(); });
+    }
+  } catch (...) {
+    stop();  // joins the loops already running before their state goes
+    throw;
   }
 }
 
 RouteServer::~RouteServer() { stop(); }
 
 void RouteServer::stop() {
-  if (stop_.exchange(true)) return;
-  // Stop the intake first.  The acceptors still poll listen_fd_ until they
-  // observe stop_, so only shut the socket down here (wakes any poller) and
-  // defer close() until after the joins -- closing early would both race the
-  // plain-int read of listen_fd_ and risk the kernel reusing the fd under a
-  // concurrent accept().
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  for (auto& t : acceptors_) t.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  // Connection threads notice stop_ at their next recv timeout, finish any
-  // in-flight request (the dispatcher is still running), and exit.
-  std::vector<Conn> conns;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    conns.swap(connections_);
-  }
-  for (auto& c : conns) c.thread.join();
-  // With every producer joined, let the dispatcher drain and exit.
-  batch_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
-
-void RouteServer::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, options_.poll_interval_ms);
-    if (stop_.load(std::memory_order_acquire)) return;
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    set_recv_timeout(fd, options_.poll_interval_ms);
-    connections_count_.fetch_add(1, std::memory_order_relaxed);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::thread handler([this, fd, done] {
-      handle_connection(fd);
-      done->store(true, std::memory_order_release);
-    });
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    // Reap finished sessions so a long-lived server does not accumulate one
-    // joinable thread per connection it ever served.
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if (it->done->load(std::memory_order_acquire)) {
-        it->thread.join();
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    connections_.push_back(Conn{std::move(handler), std::move(done)});
-  }
-}
-
-ServingResult RouteServer::serve_query(NodeName src, NodeName dst) {
-  // Unknown names are rejected here, against the fixed naming, without a
-  // round-trip through the batcher (mirrors EpochManager::roundtrip_by_name).
-  const NodeName n = source_.names().node_count();
-  ServingResult result;
-  if (src < 0 || src >= n || dst < 0 || dst >= n) {
-    result = ServingResult::failure(
-        ServingError::kInvalidName,
-        "unknown name " + std::to_string((src < 0 || src >= n) ? src : dst));
-  } else {
-    // The batcher works in node ids: translate through the fixed TINN
-    // naming exactly as EpochManager::roundtrip_by_name does.
-    std::future<ServingResult> answer;
-    {
-      std::lock_guard<std::mutex> lock(batch_mutex_);
-      PendingQuery pending;
-      pending.query =
-          RoundtripQuery{source_.names().id_of(src), source_.names().id_of(dst)};
-      answer = pending.promise.get_future();
-      pending_.push_back(std::move(pending));
-    }
-    batch_cv_.notify_one();
-    result = answer.get();
-  }
-  count_result(result);
-  return result;
-}
-
-void RouteServer::count_result(const ServingResult& result) {
-  if (result.ok()) {
-    queries_ok_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    const auto code = static_cast<std::size_t>(result.error);
-    error_counts_[code < 6 ? code : 0].fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void RouteServer::dispatch_loop() {
-  while (true) {
-    std::vector<PendingQuery> batch;
-    {
-      std::unique_lock<std::mutex> lock(batch_mutex_);
-      batch_cv_.wait(lock, [this] {
-        return stop_.load(std::memory_order_acquire) || !pending_.empty();
-      });
-      if (pending_.empty()) {
-        // stop() only sets stop_ after joining every connection thread, so
-        // an empty queue here means no producer can appear: safe to exit.
-        if (stop_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      batch.swap(pending_);
-    }
-
-    // ONE epoch pin for the whole coalesced batch: every query in it is
-    // answered by the same (graph, scheme, names) triple even if an epoch
-    // swap lands mid-batch.
-    const std::shared_ptr<const Epoch> epoch = source_.current_epoch();
-    if (epoch == nullptr) {
-      for (auto& p : batch) {
-        p.promise.set_value(ServingResult::failure(
-            ServingError::kEpochUnavailable, "no epoch available"));
-      }
-      continue;
-    }
-    std::vector<RoundtripQuery> queries;
-    queries.reserve(batch.size());
-    for (const auto& p : batch) queries.push_back(p.query);
-    BatchOptions batch_options;
-    batch_options.threads = options_.batch_threads;
-    std::vector<ServingResult> results =
-        epoch->engine->serve_batch(queries, batch_options);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      results[i].epoch = epoch->seq;
-      batch[i].promise.set_value(std::move(results[i]));
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_queries_.fetch_add(batch.size(), std::memory_order_relaxed);
-    std::uint64_t seen = max_batch_.load(std::memory_order_relaxed);
-    while (batch.size() > seen &&
-           !max_batch_.compare_exchange_weak(seen, batch.size(),
-                                             std::memory_order_relaxed)) {
-    }
-  }
-}
-
-std::string RouteServer::handle_http(const HttpRequest& request) {
-  http_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (request.method != "GET") {
-    Json body{JsonObject{}};
-    body.set("error", "method_not_allowed");
-    return make_http_response(405, body.dump(), request.keep_alive);
-  }
-
-  if (request.path == "/healthz") {
-    const auto epoch = source_.current_epoch();
-    Json body{JsonObject{}};
-    body.set("status", epoch != nullptr ? "ok" : "unavailable");
-    body.set("scheme", source_.scheme_name());
-    body.set("nodes", static_cast<std::int64_t>(source_.names().node_count()));
-    if (epoch != nullptr) {
-      body.set("epoch", static_cast<std::int64_t>(epoch->seq));
-    }
-    return make_http_response(epoch != nullptr ? 200 : 503, body.dump(),
-                              request.keep_alive);
-  }
-
-  if (request.path == "/stats") {
-    return make_http_response(200, stats_json().dump(), request.keep_alive);
-  }
-
-  if (request.path == "/route") {
-    const std::string* src_raw = find_query_param(request, "src");
-    const std::string* dst_raw = find_query_param(request, "dst");
-    NodeName src = 0;
-    NodeName dst = 0;
-    if (src_raw == nullptr || dst_raw == nullptr ||
-        !parse_name(*src_raw, src) || !parse_name(*dst_raw, dst)) {
-      const auto bad = ServingResult::failure(
-          ServingError::kInvalidQuery,
-          "src and dst must be integer node names");
-      count_result(bad);
-      return make_http_response(http_status_for(bad),
-                                route_response_json(0, 0, bad).dump(),
-                                request.keep_alive);
-    }
-    // An explicit scheme selector must match what this process serves --
-    // epochs of a different scheme live in a different rtr_routed.
-    const std::string* scheme = find_query_param(request, "scheme");
-    if (scheme != nullptr && *scheme != source_.scheme_name()) {
-      const auto miss = ServingResult::failure(
-          ServingError::kEpochUnavailable,
-          "scheme " + *scheme + " not served (serving " +
-              source_.scheme_name() + ")");
-      count_result(miss);
-      return make_http_response(http_status_for(miss),
-                                route_response_json(src, dst, miss).dump(),
-                                request.keep_alive);
-    }
-    const ServingResult result = serve_query(src, dst);
-    return make_http_response(http_status_for(result),
-                              route_response_json(src, dst, result).dump(),
-                              request.keep_alive);
-  }
-
-  Json body{JsonObject{}};
-  body.set("error", "not_found");
-  return make_http_response(404, body.dump(), request.keep_alive);
-}
-
-void RouteServer::handle_connection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool protocol_known = false;
-  bool binary = false;
-
-  const auto fail_protocol = [&] {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  while (!stop_.load(std::memory_order_acquire)) {
-    // Drain every complete request already buffered before reading more
-    // (keep-alive pipelining), then block -- with a timeout so stop() is
-    // honored -- for the next bytes.
-    bool close_connection = false;
-    bool need_more = false;
-    while (!close_connection && !need_more) {
-      if (!protocol_known) {
-        if (buffer.empty()) {
-          need_more = true;
-          break;
-        }
-        if (buffer[0] == kWirePreamble[0]) {
-          if (buffer.size() < kWirePreambleBytes) {
-            need_more = true;
-            break;
-          }
-          if (buffer.compare(0, kWirePreambleBytes, kWirePreamble,
-                             kWirePreambleBytes) != 0) {
-            fail_protocol();
-            close_connection = true;
-            break;
-          }
-          buffer.erase(0, kWirePreambleBytes);
-          binary = true;
-        }
-        protocol_known = true;
-      }
-
-      if (binary) {
-        WireRequest request;
-        const WireParseStatus status = parse_wire_request(buffer, request);
-        if (status == WireParseStatus::kNeedMore) {
-          need_more = true;
-        } else if (status == WireParseStatus::kMalformed) {
-          fail_protocol();
-          close_connection = true;
-        } else {
-          wire_requests_.fetch_add(1, std::memory_order_relaxed);
-          const ServingResult result = serve_query(request.src, request.dst);
-          if (!send_all(fd, encode_wire_response(result))) {
-            close_connection = true;
-          }
-        }
-        continue;
-      }
-
-      HttpRequest request;
-      const HttpParseStatus status =
-          parse_http_request(buffer, request, options_.http_limits);
-      switch (status) {
-        case HttpParseStatus::kNeedMore:
-          need_more = true;
-          break;
-        case HttpParseStatus::kOk: {
-          const std::string response = handle_http(request);
-          if (!send_all(fd, response) || !request.keep_alive) {
-            close_connection = true;
-          }
-          break;
-        }
-        case HttpParseStatus::kBadRequest:
-        case HttpParseStatus::kUriTooLong:
-        case HttpParseStatus::kHeadersTooLarge: {
-          fail_protocol();
-          const int code = status == HttpParseStatus::kUriTooLong     ? 414
-                           : status == HttpParseStatus::kHeadersTooLarge ? 431
-                                                                         : 400;
-          Json body{JsonObject{}};
-          body.set("error", "malformed_request");
-          (void)send_all(fd, make_http_response(code, body.dump(), false));
-          close_connection = true;
-          break;
-        }
-      }
-    }
-    if (close_connection) break;
-
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    } else if (n == 0) {
-      break;  // peer closed
-    } else if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-      continue;  // recv timeout: re-check stop_ and block again
-    } else {
-      break;
-    }
-  }
-  ::close(fd);
+  if (stopped_.exchange(true)) return;
+  // The eventfd is never read, so it stays readable: every loop wakes,
+  // leaves its turn and exits.
+  const std::uint64_t one = 1;
+  const ssize_t wrote = ::write(stop_fd_, &one, sizeof(one));
+  (void)wrote;
+  for (auto& t : threads_) t.join();
+  loops_.clear();  // closes every session and epoll set
+  ::close(listen_fd_);
+  ::close(stop_fd_);
+  listen_fd_ = -1;
+  stop_fd_ = -1;
 }
 
 RouteServerStats RouteServer::stats() const {
+  const auto load = [](std::uint64_t& counter) {
+    return std::atomic_ref<std::uint64_t>(counter).load(
+        std::memory_order_relaxed);
+  };
   RouteServerStats s;
-  s.connections = connections_count_.load(std::memory_order_relaxed);
-  s.http_requests = http_requests_.load(std::memory_order_relaxed);
-  s.wire_requests = wire_requests_.load(std::memory_order_relaxed);
-  s.queries_ok = queries_ok_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < 6; ++i) {
-    s.errors[i] = error_counts_[i].load(std::memory_order_relaxed);
-  }
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_queries = batched_queries_.load(std::memory_order_relaxed);
-  s.max_batch = max_batch_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
+  for (const auto& [key, field] : kCounters) s.*field = load(counters_.*field);
+  for (std::size_t i = 0; i < 6; ++i) s.errors[i] = load(counters_.errors[i]);
   return s;
 }
 
@@ -467,20 +601,15 @@ Json RouteServer::stats_json() const {
   Json doc{JsonObject{}};
   doc.set("schema", "rtr-stats/1");
   doc.set("scheme", source_.scheme_name());
-  doc.set("connections", static_cast<std::int64_t>(s.connections));
-  doc.set("http_requests", static_cast<std::int64_t>(s.http_requests));
-  doc.set("wire_requests", static_cast<std::int64_t>(s.wire_requests));
-  doc.set("queries_ok", static_cast<std::int64_t>(s.queries_ok));
+  for (const auto& [key, field] : kCounters) {
+    doc.set(key, static_cast<std::int64_t>(s.*field));
+  }
   Json errors{JsonObject{}};
   for (std::size_t i = 1; i < 6; ++i) {
     errors.set(serving_error_name(static_cast<ServingError>(i)),
                static_cast<std::int64_t>(s.errors[i]));
   }
   doc.set("errors", std::move(errors));
-  doc.set("batches", static_cast<std::int64_t>(s.batches));
-  doc.set("batched_queries", static_cast<std::int64_t>(s.batched_queries));
-  doc.set("max_batch", static_cast<std::int64_t>(s.max_batch));
-  doc.set("protocol_errors", static_cast<std::int64_t>(s.protocol_errors));
   const ServingSource::RebuildStats r = source_.rebuild_stats();
   doc.set("epochs_built", static_cast<std::int64_t>(r.epochs_built));
   doc.set("repairs", static_cast<std::int64_t>(r.repairs));

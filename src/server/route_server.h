@@ -5,11 +5,17 @@
 // protocol is sniffed from the first byte of the connection (binary sessions
 // open with the "RTRWIRE1" preamble, and no HTTP method starts with 'R').
 //
-// Request flow: connection threads parse and validate, then submit
-// route queries to a coalescing batcher -- a dispatcher thread drains every
-// in-flight query into ONE QueryEngine::serve_batch call against ONE pinned
-// epoch, so concurrent clients amortize the dispatch overhead and an epoch
-// swap never straddles a batch.  /healthz and /stats answer inline.
+// Request flow: `acceptor_threads` event loops share the listening socket
+// (EPOLLEXCLUSIVE); each owns the non-blocking sessions it accepted.  On
+// every wake-up a loop reads each ready session once, parses every complete
+// request into one query vector, pins ONE epoch for ONE inline
+// QueryEngine::serve_batch call (so an epoch swap never straddles a batch
+// and pipelined requests batch too), encodes the answers in each session's
+// request order -- /healthz, /stats, 4xx and invalid names answer inline in
+// that order -- and writes each session's output with one send.  The
+// server's thread count is `acceptor_threads` whatever the number of
+// connections; intake is bounded by max_connections, idle_timeout_ms and a
+// fixed cap on a session's unsent output, each with a /stats counter.
 //
 // The server reads its epochs through the ServingSource interface: the
 // EpochManager adapter serves live-churn traffic (queries keep completing
@@ -20,11 +26,8 @@
 #define RTR_SERVER_ROUTE_SERVER_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,7 +39,7 @@
 namespace rtr {
 
 /// Where the server gets the epoch it serves.  Implementations must be
-/// thread-safe: every connection thread and the dispatcher call these.
+/// thread-safe: every event-loop thread calls these.
 class ServingSource {
  public:
   /// Epoch preprocessing counters surfaced through /stats: how the epochs
@@ -114,15 +117,21 @@ struct RouteServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; RouteServer::port() reports the actual one.
   int port = 0;
-  /// Accept-loop threads sharing one listening socket (thread-per-core when
-  /// set to the core count; every accepted connection still gets its own
-  /// handler thread so keep-alive sessions cannot starve the accept loop).
+  /// Event-loop threads sharing one listening socket; each accepts and
+  /// serves its own sessions.  The server runs this many threads whatever
+  /// the number of connections; serve_batch adds transient workers only
+  /// when its width (below) exceeds 1.
   int acceptor_threads = 1;
   /// Per-batch worker cap handed to QueryEngine::serve_batch (0 = the
-  /// engine's configured width).
+  /// engine's configured width).  Each loop calls it inline.
   int batch_threads = 0;
-  /// How often blocked reads re-check the stop flag.
-  int poll_interval_ms = 50;
+  /// Open sessions across all loops.  A connection past it is accepted,
+  /// answered 503 {"error":"overloaded"} (HTTP) or closed (rtr-wire/1), and
+  /// counted in refused_connections.
+  int max_connections = 512;
+  /// A session that completes no request and drains no output for this
+  /// long is closed and counted in idle_closed (0 = never).
+  int idle_timeout_ms = 60000;
   HttpLimits http_limits;
 };
 
@@ -137,12 +146,15 @@ struct RouteServerStats {
   std::uint64_t batched_queries = 0;
   std::uint64_t max_batch = 0;
   std::uint64_t protocol_errors = 0;  ///< malformed HTTP/wire inputs
+  std::uint64_t refused_connections = 0;  ///< past max_connections
+  std::uint64_t idle_closed = 0;          ///< closed at idle_timeout_ms
+  std::uint64_t accept_errors = 0;        ///< accept() failures (EMFILE, ...)
 };
 
 class RouteServer {
  public:
-  /// Binds and starts serving immediately (acceptors + dispatcher running
-  /// when the constructor returns).  Throws std::runtime_error when the
+  /// Binds and starts serving immediately (every event loop running when
+  /// the constructor returns).  Throws std::runtime_error when the
   /// socket cannot be bound.  `source` must outlive the server.
   RouteServer(const ServingSource& source, RouteServerOptions options = {});
   ~RouteServer();
@@ -154,8 +166,8 @@ class RouteServer {
   /// port via getsockname).
   [[nodiscard]] int port() const { return port_; }
 
-  /// Stops accepting, completes in-flight requests, joins every thread.
-  /// Idempotent; also run by the destructor.
+  /// Wakes every loop through the stop eventfd, joins them and closes every
+  /// session; returns at once.  Idempotent; also run by the destructor.
   void stop();
 
   [[nodiscard]] RouteServerStats stats() const;
@@ -164,53 +176,20 @@ class RouteServer {
   [[nodiscard]] Json stats_json() const;
 
  private:
-  struct PendingQuery {
-    RoundtripQuery query;
-    std::promise<ServingResult> promise;
-  };
-  /// One live connection-handler thread; `done` lets the accept loop reap
-  /// finished sessions instead of accumulating joinable threads forever.
-  struct Conn {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
-  void accept_loop();
-  void handle_connection(int fd);
-  void dispatch_loop();
-
-  /// Validates names against the current naming and either answers
-  /// immediately (invalid name, no epoch) or submits to the batcher.
-  [[nodiscard]] ServingResult serve_query(NodeName src, NodeName dst);
-
-  [[nodiscard]] std::string handle_http(const HttpRequest& request);
-  void count_result(const ServingResult& result);
+  /// One event loop and the sessions it owns (defined in route_server.cpp).
+  class Loop;
 
   const ServingSource& source_;
   RouteServerOptions options_;
   int listen_fd_ = -1;
+  int stop_fd_ = -1;  ///< eventfd, readable once stop() has run
   int port_ = 0;
-
-  std::atomic<bool> stop_{false};
-
-  std::mutex batch_mutex_;
-  std::condition_variable batch_cv_;
-  std::vector<PendingQuery> pending_;
-  std::thread dispatcher_;
-
-  std::vector<std::thread> acceptors_;
-  std::mutex connections_mutex_;
-  std::vector<Conn> connections_;
-
-  std::atomic<std::uint64_t> connections_count_{0};
-  std::atomic<std::uint64_t> http_requests_{0};
-  std::atomic<std::uint64_t> wire_requests_{0};
-  std::atomic<std::uint64_t> queries_ok_{0};
-  std::atomic<std::uint64_t> error_counts_[6] = {};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_queries_{0};
-  std::atomic<std::uint64_t> max_batch_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
+  std::atomic<bool> stopped_{false};
+  std::atomic<std::int64_t> open_sessions_{0};
+  /// The live counters; every loop updates them through std::atomic_ref.
+  mutable RouteServerStats counters_;
+  std::vector<std::unique_ptr<Loop>> loops_;
+  std::vector<std::thread> threads_;  ///< one per loop, joined by stop()
 };
 
 /// The JSON body for one /route answer ({"ok", "error", "epoch", ...});

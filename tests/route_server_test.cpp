@@ -1,9 +1,10 @@
 // RouteServer integration tests over real loopback sockets: golden
 // request/response pairs for both protocols, the malformed-input taxonomy
 // (bad name, oversized URI, truncated binary frame), pipelined keep-alive,
-// and -- the serving property this subsystem exists for -- zero dropped
-// queries while the epoch swaps live under concurrent load.  The
-// *RouteServerChurn* test is a ThreadSanitizer target CI runs with
+// the intake limits (a flat thread count under idle connections, the idle
+// timeout, refusals past max_connections), and -- the serving property this
+// subsystem exists for -- zero dropped queries while the epoch swaps live
+// under concurrent load.  CI reruns every RouteServer* test under
 // -fsanitize=thread.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +63,15 @@ class TestClient {
   TestClient& operator=(const TestClient&) = delete;
 
   [[nodiscard]] bool connected() const { return connected_; }
+
+  /// Bounds every later blocking read, so a server that never answers or
+  /// never closes fails the test instead of hanging it.
+  void set_recv_timeout_ms(int millis) const {
+    timeval tv{};
+    tv.tv_sec = millis / 1000;
+    tv.tv_usec = static_cast<suseconds_t>((millis % 1000) * 1000);
+    (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
 
   [[nodiscard]] bool send_all(const std::string& data) const {
     std::size_t sent = 0;
@@ -129,6 +143,27 @@ class TestClient {
   if (!keep_alive) r += "Connection: close\r\n";
   r += "\r\n";
   return r;
+}
+
+/// Polls `done` until it holds or five seconds pass.
+[[nodiscard]] bool wait_for(const std::function<bool()>& done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// Threads in this process right now.
+[[nodiscard]] std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
 }
 
 class RouteServerTest : public ::testing::Test {
@@ -313,6 +348,159 @@ TEST_F(RouteServerTest, TruncatedBinaryFrameClosesWithoutAnAnswer) {
   ASSERT_TRUE(client.send_all(session));
   EXPECT_TRUE(client.closed_by_peer());
   EXPECT_GE(server_.stats().protocol_errors, 1u);
+}
+
+TEST_F(RouteServerTest, PipelinedWireFramesFormOneBatchInOrder) {
+  const auto& names = manager_.names();
+  TestClient client(server_.port());
+  ASSERT_TRUE(client.connected());
+  client.set_recv_timeout_ms(5000);
+  // Eight frames in one send; the fourth names an unknown node, so an
+  // inline answer sits between batched ones.
+  std::vector<std::pair<NodeName, NodeName>> pairs;
+  for (NodeId i = 0; i < 8; ++i) {
+    pairs.emplace_back(names.name_of(i), i == 3 ? -5 : names.name_of(i + 7));
+  }
+  std::string session(kWirePreamble, kWirePreambleBytes);
+  for (const auto& [src, dst] : pairs) {
+    session += encode_wire_request(WireRequest{src, dst});
+  }
+  ASSERT_TRUE(client.send_all(session));
+
+  for (const auto& [src, dst] : pairs) {
+    WireResponse response;
+    WireParseStatus status = WireParseStatus::kNeedMore;
+    while ((status = parse_wire_response(client.buffer(), response)) ==
+           WireParseStatus::kNeedMore) {
+      ASSERT_TRUE(client.recv_some());
+    }
+    ASSERT_EQ(status, WireParseStatus::kOk);
+    const ServingResult expect = manager_.roundtrip_by_name(src, dst);
+    EXPECT_EQ(response.error, static_cast<std::uint32_t>(expect.error));
+    if (expect.ok()) {
+      EXPECT_EQ(response.roundtrip_length, expect.route.roundtrip_length());
+      EXPECT_EQ(response.out_hops, expect.route.out_hops);
+      EXPECT_EQ(response.back_hops, expect.route.back_hops);
+      EXPECT_EQ(response.max_header_bits, expect.route.max_header_bits);
+    }
+  }
+  EXPECT_GE(server_.stats().max_batch, 2u)
+      << "frames pipelined on one connection must share a batch";
+}
+
+TEST_F(RouteServerTest, ThreadCountStaysFlatUnder200IdleConnections) {
+  const std::size_t before = thread_count();
+  std::vector<std::unique_ptr<TestClient>> idle;
+  for (int i = 0; i < 200; ++i) {
+    idle.push_back(std::make_unique<TestClient>(server_.port()));
+    ASSERT_TRUE(idle.back()->connected());
+  }
+  ASSERT_TRUE(wait_for([&] { return server_.stats().connections >= 200; }));
+  EXPECT_EQ(thread_count(), before);
+
+  TestClient client(server_.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_all("GET /healthz HTTP/1.1\r\n\r\n"));
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(client.read_http_response(status, body));
+  EXPECT_EQ(status, 200);
+}
+
+/// A server over its own small epoch, started with the options under test.
+class RouteServerLimits : public ::testing::Test {
+ protected:
+  static constexpr NodeId kNodes = 48;
+  RouteServerLimits()
+      : manager_("stretch6", small_names(kNodes, 11), small_graph(kNodes, 12)),
+        source_(manager_) {}
+
+  RouteServer& start(const RouteServerOptions& options) {
+    server_ = std::make_unique<RouteServer>(source_, options);
+    return *server_;
+  }
+
+  EpochManager manager_;
+  ManagerServingSource source_;
+  std::unique_ptr<RouteServer> server_;
+};
+
+TEST_F(RouteServerLimits, SlowlorisIsClosedAtTheIdleTimeout) {
+  RouteServerOptions options;
+  options.idle_timeout_ms = 200;
+  RouteServer& server = start(options);
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  client.set_recv_timeout_ms(5000);
+  const auto start_time = std::chrono::steady_clock::now();
+  // Half a request head, then silence.
+  ASSERT_TRUE(client.send_all("GET /route?src=1&dst="));
+  EXPECT_TRUE(client.closed_by_peer());
+  const auto waited = std::chrono::steady_clock::now() - start_time;
+  EXPECT_GE(waited, std::chrono::milliseconds(100));
+  EXPECT_LT(waited, std::chrono::milliseconds(4000));
+  EXPECT_EQ(server.stats().idle_closed, 1u);
+}
+
+TEST_F(RouteServerLimits, FloodPastMaxConnectionsIsRefusedWhileASessionAnswers) {
+  RouteServerOptions options;
+  options.max_connections = 4;
+  RouteServer& server = start(options);
+  const auto& names = manager_.names();
+  int status = 0;
+  std::string body;
+
+  TestClient keeper(server.port());
+  ASSERT_TRUE(keeper.connected());
+  keeper.set_recv_timeout_ms(5000);
+  ASSERT_TRUE(keeper.send_all(route_request(names.name_of(1), names.name_of(2))));
+  ASSERT_TRUE(keeper.read_http_response(status, body));
+  EXPECT_EQ(status, 200);
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(std::make_unique<TestClient>(server.port()));
+  }
+  ASSERT_TRUE(wait_for([&] { return server.stats().connections >= 4; }));
+
+  // The flood: 8 HTTP and 2 rtr-wire/1 connections past the cap.
+  constexpr int kHttpFlood = 8;
+  constexpr int kWireFlood = 2;
+  std::vector<std::unique_ptr<TestClient>> flood;
+  for (int i = 0; i < kHttpFlood + kWireFlood; ++i) {
+    flood.push_back(std::make_unique<TestClient>(server.port()));
+    ASSERT_TRUE(flood.back()->connected());
+    flood.back()->set_recv_timeout_ms(5000);
+  }
+  ASSERT_TRUE(wait_for([&] {
+    return server.stats().connections >= 4 + kHttpFlood + kWireFlood;
+  }));
+  for (int i = 0; i < kHttpFlood; ++i) {
+    TestClient& c = *flood[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(c.send_all(route_request(names.name_of(3), names.name_of(4))));
+    ASSERT_TRUE(c.read_http_response(status, body));
+    EXPECT_EQ(status, 503);
+    EXPECT_EQ(Json::parse(body).at("error").as_string(), "overloaded");
+    EXPECT_TRUE(c.closed_by_peer());
+  }
+  for (int i = kHttpFlood; i < kHttpFlood + kWireFlood; ++i) {
+    TestClient& c = *flood[static_cast<std::size_t>(i)];
+    std::string session(kWirePreamble, kWirePreambleBytes);
+    session += encode_wire_request(WireRequest{names.name_of(3),
+                                               names.name_of(4)});
+    ASSERT_TRUE(c.send_all(session));
+    EXPECT_TRUE(c.closed_by_peer());
+  }
+
+  // The session admitted before the flood keeps answering.
+  ASSERT_TRUE(keeper.send_all(route_request(names.name_of(5), names.name_of(6))));
+  ASSERT_TRUE(keeper.read_http_response(status, body));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(server.stats().refused_connections,
+            static_cast<std::uint64_t>(kHttpFlood + kWireFlood));
+  ASSERT_TRUE(keeper.send_all("GET /stats HTTP/1.1\r\n\r\n"));
+  ASSERT_TRUE(keeper.read_http_response(status, body));
+  EXPECT_EQ(Json::parse(body).at("refused_connections").as_int(),
+            kHttpFlood + kWireFlood);
 }
 
 // The availability property, asserted end to end: concurrent HTTP clients

@@ -6,6 +6,8 @@
 //              [--bind ADDR] [--port P] [--port-file PATH]
 //              [--duration-s X] [--churn-interval-s X] [--churn-epochs K]
 //              [--repair] [--churn-fraction F] [--acceptors A]
+//       --acceptors sets the number of event-loop threads (default 1); the
+//       daemon's serving thread count does not grow with connections.
 //       Builds the scheme over a generated strongly-connected instance,
 //       stands up an EpochManager, and serves GET /route, /healthz, /stats
 //       (HTTP/1.1 keep-alive) plus the rtr-wire/1 binary framing on one TCP
@@ -207,7 +209,8 @@ int main(int argc, char** argv) {
              "  [--max-weight W] [--seed S] [--metric auto|dense|sparse]\n"
              "  [--threads T] [--bind ADDR] [--port P] [--port-file PATH]\n"
              "  [--duration-s X] [--churn-interval-s X] [--churn-epochs K]\n"
-             "  [--repair] [--acceptors A] [--snapshot FILE [--mapped]]\n";
+             "  [--repair] [--snapshot FILE [--mapped]]\n"
+             "  [--acceptors A]   event-loop threads (default 1)\n";
       return 0;
     }
 
