@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -237,8 +236,6 @@ class RouteServer::Loop {
         release(fd);
         continue;
       }
-      const int one = 1;
-      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       Session& s = sessions_[fd];
       s.fd = fd;
       s.refused = refused;
@@ -480,9 +477,7 @@ class RouteServer::Loop {
   }
 
   [[nodiscard]] Clock::time_point deadline() const {
-    const int idle = server_.options_.idle_timeout_ms;
-    return idle > 0 ? now_ + std::chrono::milliseconds(idle)
-                    : Clock::time_point::max();
+    return now_ + std::chrono::milliseconds(server_.options_.idle_timeout_ms);
   }
 
   void release(int fd) {

@@ -130,7 +130,7 @@ struct RouteServerOptions {
   /// counted in refused_connections.
   int max_connections = 512;
   /// A session that completes no request and drains no output for this
-  /// long is closed and counted in idle_closed (0 = never).
+  /// long is closed and counted in idle_closed.
   int idle_timeout_ms = 60000;
   HttpLimits http_limits;
 };
